@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Hypergraph3, canonical_key, triple_rank, pair_rank
+from .core import Hypergraph3, canonical_key, triple_rank, triple_table, pair_rank
 from .constructions import ConstructionClaims, Tripartition
 from .patterns import Pattern, embed_covering, greedy_cover_bound, uncovered_vertices
 
@@ -197,16 +197,6 @@ class SearchReport:
     note: Optional[str] = None
 
 
-_POP16: Optional[np.ndarray] = None
-
-
-def _pop16() -> np.ndarray:
-    global _POP16
-    if _POP16 is None:
-        _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-    return _POP16
-
-
 def _cover_masks(n: int, pat: Pattern) -> list[list[int]]:
     # masks[x]: every edge bitmap whose presence puts a pattern copy through x
     edge_list = pat.edge_list()
@@ -222,21 +212,17 @@ def _cover_masks(n: int, pat: Pattern) -> list[list[int]]:
 
 def _pair_triple_masks(n: int) -> list[int]:
     masks = [0] * comb(n, 2)
-    for t in combinations(range(n), 3):
-        r = triple_rank(*t)
+    for r, t in enumerate(triple_table(n).tolist()):
         for u, v in combinations(t, 2):
             masks[pair_rank(u, v)] |= 1 << r
     return masks
 
 
 def _scan_chunk(lo: int, hi: int, n: int, pair_masks, cover_masks):
-    pop = _pop16()
     vals = np.arange(lo, hi, dtype=np.int64)
     mincod = np.full(vals.shape, 255, dtype=np.uint8)
     for pm in pair_masks:
-        t = vals & pm
-        pc = pop[t & 0xFFFF] + pop[(t >> 16) & 0xFFFF]
-        np.minimum(mincod, pc, out=mincod)
+        np.minimum(mincod, np.bitwise_count(vals & pm), out=mincod)
     uncovered = np.zeros(vals.shape, dtype=bool)
     for x in range(n):
         cov = np.zeros(vals.shape, dtype=bool)
@@ -315,9 +301,7 @@ def _dfs_feasible(pat, n, target, deadline, iso_cache, stats):
     # visits exactly the bitmaps whose every pair reaches the target codegree,
     # in increasing numeric order; returns the first with an uncovered vertex
     m = comb(n, 3)
-    pair_ids: list[tuple[int, ...]] = [()] * m
-    for t in combinations(range(n), 3):
-        pair_ids[triple_rank(*t)] = tuple(pair_rank(u, v) for u, v in combinations(t, 2))
+    pair_ids = [tuple(pair_rank(u, v) for u, v in combinations(t, 2)) for t in triple_table(n).tolist()]
     counts = [0] * comb(n, 2)
     remaining = [n - 2] * comb(n, 2)
 
@@ -516,33 +500,29 @@ def recover_partition(
 
 
 def _measure_partition(g: Hypergraph3, x: int, parts) -> PartitionDiagnostics:
-    within = 0
-    for part in parts:
-        for u, v in combinations(part, 2):
-            if g.contains(x, u, v):
-                within += 1
-    missing_cross = 0
-    for i, j in combinations(range(3), 2):
-        for u in parts[i]:
-            for v in parts[j]:
-                if not g.contains(x, u, v):
-                    missing_cross += 1
-    tripartite = 0
-    for u in parts[0]:
-        for v in parts[1]:
-            for w in parts[2]:
-                if g.contains(u, v, w):
-                    tripartite += 1
-    missing_two = 0
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            for u, v in combinations(parts[i], 2):
-                for w in parts[j]:
-                    if not g.contains(u, v, w):
-                        missing_two += 1
+    # label the apex 4 and part i as i + 1, then histogram the edges by their
+    # sorted label triples: each count below is a sum of histogram cells
+    label = np.zeros(g.n, dtype=np.int8)
+    for i, part in enumerate(parts):
+        label[list(part)] = i + 1
+    label[x] = 4
+    labels = np.sort(label[g.edge_array()], axis=1)
+    hist = np.bincount(labels @ np.array([25, 5, 1]), minlength=125).tolist()
+
+    def edges_of(*labels: int) -> int:
+        p, q, r = sorted(labels)
+        return hist[25 * p + 5 * q + r]
+
     sizes = tuple(len(p) for p in parts)
+    within = sum(edges_of(i + 1, i + 1, 4) for i in range(3))
+    missing_cross = sum(
+        sizes[i] * sizes[j] - edges_of(i + 1, j + 1, 4) for i, j in combinations(range(3), 2)
+    )
+    tripartite = edges_of(1, 2, 3)
+    missing_two = sum(
+        comb(sizes[i], 2) * sizes[j] - edges_of(i + 1, i + 1, j + 1)
+        for i in range(3) for j in range(3) if i != j
+    )
     third = Fraction(g.n - 1, 3)
     dev = max(abs(Fraction(s) - third) for s in sizes) if sizes else Fraction(0)
     return PartitionDiagnostics(

@@ -53,50 +53,39 @@ def _claims_path(h3_path: str) -> Path:
     return Path(str(p) + ".claims.json")
 
 
+def _f1_variant(args, case: str):
+    return f1_variant(case, admissible_sample(case, args.n, args.seed), args.n)
+
+
+# constructions sized by --n: name -> function of the parsed arguments returning (graph, claims)
+SIZED_CONSTRUCTIONS = {
+    "f1": lambda args: f1(args.n),
+    "f1e": lambda args: _f1_variant(args, args.case if args.case is not None else str(args.n % 3)),
+    "f1p": lambda args: _f1_variant(args, "2p"),
+    "f2": lambda args: f2(args.n),
+    "f3": lambda args: f3(args.n),
+    "f4": lambda args: f4(args.n),
+    "fano2": lambda args: fano_bipartite(args.n),
+    "f32tri": lambda args: f32_tripartite(args.n),
+}
+
+
 def cmd_construct(args) -> int:
     name = args.name
     if name == "sts":
         if args.t is None:
             raise ValueError("sts needs --t")
         g = steiner(args.t)
-        claims = ConstructionClaims(
-            name="sts",
-            n=args.t,
-            min_codegree=1,
-            uncovered=(),
-            partition=Tripartition(apex=None, parts=()),
-            params=(("t", args.t),),
-        )
+        claims = ConstructionClaims("sts", args.t, min_codegree=1, uncovered=(),
+                                    partition=Tripartition(apex=None, parts=()), params=(("t", args.t),))
     elif name == "blowup":
         if args.base is None:
             raise ValueError("blowup needs --base pointing at a .h3 file")
-        base = load_h3(args.base)
-        g, claims = blow_up(base, args.factor)
+        g, claims = blow_up(load_h3(args.base), args.factor)
     else:
         if args.n is None:
             raise ValueError(f"{name} needs --n")
-        n = args.n
-        if name == "f1":
-            g, claims = f1(n)
-        elif name == "f1e":
-            case = args.case if args.case is not None else str(n % 3)
-            pairs = admissible_sample(case, n, args.seed)
-            g, claims = f1_variant(case, pairs, n)
-        elif name == "f1p":
-            pairs = admissible_sample("2p", n, args.seed)
-            g, claims = f1_variant("2p", pairs, n)
-        elif name == "f2":
-            g, claims = f2(n)
-        elif name == "f3":
-            g, claims = f3(n)
-        elif name == "f4":
-            g, claims = f4(n)
-        elif name == "fano2":
-            g, claims = fano_bipartite(n)
-        elif name == "f32tri":
-            g, claims = f32_tripartite(n)
-        else:
-            raise ValueError(f"unknown construction {name!r}")
+        g, claims = SIZED_CONSTRUCTIONS[name](args)
     out = args.output or f"{name}_{claims.n}.h3"
     write_h3(g, out, args.fmt)
     cpath = _claims_path(out)

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterable, Optional
 
-from .core import Hypergraph3
+import numpy as np
+
+from .core import Hypergraph3, triple_rank, triple_table
 
 __all__ = [
     "Tripartition",
@@ -125,19 +127,47 @@ class ConstructionClaims:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "ConstructionClaims":
-        part = data["partition"]
+    def from_json(cls, data) -> "ConstructionClaims":
+        """Parse a claims sidecar; ValueError names the first missing or ill-typed field."""
+        if not isinstance(data, dict):
+            raise ValueError("claims: expected a JSON object")
+        part = _field(data, "partition", "an object", lambda v: isinstance(v, dict))
+        parts = _field(part, "partition.parts", "a list of integer lists",
+                       lambda v: isinstance(v, list) and all(map(_is_ints, v)))
+        params = _field(data, "params", "an object of integers",
+                        lambda v: isinstance(v, dict) and all(map(_is_int, v.values())), optional=True)
         return cls(
-            name=data["construction"],
-            n=data["n"],
-            min_codegree=data["min_codegree"],
-            uncovered=tuple(data["uncovered"]),
+            name=_field(data, "construction", "a string", lambda v: isinstance(v, str)),
+            n=_field(data, "n", "an integer", _is_int),
+            min_codegree=_field(data, "min_codegree", "an integer", _is_int),
+            uncovered=tuple(_field(data, "uncovered", "a list of integers", _is_ints)),
             partition=Tripartition(
-                apex=part["apex"], parts=tuple(tuple(p) for p in part["parts"])
+                apex=_field(part, "partition.apex", "an integer or null", lambda v: v is None or _is_int(v)),
+                parts=tuple(map(tuple, parts)),
             ),
-            pattern_hint=data.get("pattern_hint"),
-            params=tuple(sorted(data.get("params", {}).items())),
+            pattern_hint=_field(data, "pattern_hint", "a string", lambda v: isinstance(v, str),
+                                optional=True),
+            params=tuple(sorted((params or {}).items())),
         )
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_ints(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _field(obj: dict, path: str, what: str, ok, optional: bool = False):
+    key = path.rpartition(".")[2]
+    if key not in obj:
+        if optional:
+            return None
+        raise ValueError(f"claims: missing field {path!r}")
+    if not (optional and obj[key] is None) and not ok(obj[key]):
+        raise ValueError(f"claims: field {path!r} must be {what}")
+    return obj[key]
 
 
 def _contiguous_parts(sizes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -167,6 +197,26 @@ def _part_index(parts: tuple[tuple[int, ...], ...], n: int) -> list[int]:
     return idx
 
 
+def _pattern_flags(n: int, label: list[int], allowed) -> np.ndarray:
+    """Per colex rank: is the multiset of the triple's vertex labels an allowed one?"""
+    k = max(label) + 1
+    ok = np.zeros((k, k, k), dtype=bool)
+    for labels in allowed:
+        for p in permutations(labels):
+            ok[p] = True
+    lab = np.array(label, dtype=np.int16)[triple_table(n)]
+    return ok[lab[:, 0], lab[:, 1], lab[:, 2]]
+
+
+def _triples_over(k: int, distinct) -> list[tuple[int, int, int]]:
+    """Sorted label triples over 0..k-1 whose number of distinct labels passes the test."""
+    return [t for t in combinations_with_replacement(range(k), 3) if distinct(len(set(t)))]
+
+
+# f1 and its variants, apex label 3: the triples touching at most two parts, apex and cross pairs
+_F1_LABELS = _triples_over(3, lambda d: d <= 2) + [(i, j, 3) for i, j in combinations(range(3), 2)]
+
+
 def f1(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
     """Apex over three near-equal parts; nothing completes the apex to a K4.
 
@@ -178,16 +228,7 @@ def f1(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
         raise ValueError("f1 needs n >= 4")
     apex = n - 1
     parts = _contiguous_parts(_ascending_sizes(n - 1, 3))
-    idx = _part_index(parts, n - 1)
-    triples = []
-    for a, b, c in combinations(range(n - 1), 3):
-        if len({idx[a], idx[b], idx[c]}) <= 2:
-            triples.append((a, b, c))
-    for i, j in combinations(range(3), 2):
-        for u in parts[i]:
-            for v in parts[j]:
-                triples.append((u, v, apex))
-    g = Hypergraph3.from_triples(n, triples)
+    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n - 1) + [3], _F1_LABELS))
     claims = ConstructionClaims(
         name="f1",
         n=n,
@@ -230,21 +271,12 @@ def f1_variant(
     part = _variant_partition(case, n)
     pair_set.validate(part)
     apex = n - 1
-    idx = _part_index(part.parts, n - 1)
-    edges = set()
-    for a, b, c in combinations(range(n - 1), 3):
-        if len({idx[a], idx[b], idx[c]}) <= 2:
-            edges.add((a, b, c))
-    for i, j in combinations(range(3), 2):
-        for u in part.parts[i]:
-            for v in part.parts[j]:
-                edges.add(tuple(sorted((u, v, apex))))
+    label = _part_index(part.parts, n - 1) + [3]
+    flags = _pattern_flags(n, label, _F1_LABELS)
     for u, v in pair_set.pairs:
-        edges.discard(tuple(sorted((u, v, apex))))
-        third = 3 - idx[u] - idx[v]
-        for w in part.parts[third]:
-            edges.add(tuple(sorted((u, v, w))))
-    g = Hypergraph3.from_triples(n, edges)
+        flags[triple_rank(u, v, apex)] = False
+        flags[[triple_rank(u, v, w) for w in part.parts[3 - label[u] - label[v]]]] = True
+    g = Hypergraph3.from_flags(n, flags)
     claims = ConstructionClaims(
         name="f1e" if case != "2p" else "f1p",
         n=n,
@@ -291,23 +323,11 @@ def f2(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
         raise ValueError("f2 needs n >= 7")
     apex = n - 1
     parts = _contiguous_parts(_descending_sizes(n - 1, 6))
-    idx = _part_index(parts, n - 1)
-    forbidden = set()
-    for i in range(6):
-        j, k = (i + 1) % 6, (i + 2) % 6
-        forbidden.add(tuple(sorted((i, i, j))))
-        forbidden.add(tuple(sorted((i, j, j))))
-        forbidden.add(tuple(sorted((i, j, k))))
-    triples = []
-    for a, b, c in combinations(range(n - 1), 3):
-        if tuple(sorted((idx[a], idx[b], idx[c]))) not in forbidden:
-            triples.append((a, b, c))
-    for i in range(6):
-        j = (i + 1) % 6
-        for u in parts[i]:
-            for v in parts[j]:
-                triples.append(tuple(sorted((u, v, apex))))
-    g = Hypergraph3.from_triples(n, triples)
+    runs = [(i, (i + 1) % 6, (i + 2) % 6) for i in range(6)]
+    forbidden = {tuple(sorted(t)) for i, j, k in runs for t in ((i, i, j), (i, j, j), (i, j, k))}
+    allowed = [t for t in _triples_over(6, bool) if t not in forbidden]
+    allowed += [(i, (i + 1) % 6, 6) for i in range(6)]
+    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n - 1) + [6], allowed))
     if n >= 12:
         m, r = divmod(n, 6)
         claimed = (2 * m - 1) if r == 0 else (2 * m + 1) if r == 5 else 2 * m
@@ -334,15 +354,8 @@ def f3(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
         raise ValueError("f3 needs n >= 5")
     apex = n - 1
     parts = _contiguous_parts(_ascending_sizes(n - 1, 2))
-    idx = _part_index(parts, n - 1)
-    triples = []
-    for a, b, c in combinations(range(n - 1), 3):
-        if len({idx[a], idx[b], idx[c]}) == 2:
-            triples.append((a, b, c))
-    for part in parts:
-        for u, v in combinations(part, 2):
-            triples.append((u, v, apex))
-    g = Hypergraph3.from_triples(n, triples)
+    allowed = _triples_over(2, lambda d: d == 2) + [(0, 0, 2), (1, 1, 2)]
+    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n - 1) + [2], allowed))
     claims = ConstructionClaims(
         name="f3",
         n=n,
@@ -365,12 +378,8 @@ def f4(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
         raise ValueError("f4 needs n >= 5")
     half = n // 2
     parts = _contiguous_parts((half, n - half))
-    triples = []
-    for a, b, c in combinations(range(n), 3):
-        inside = (a < half) + (b < half) + (c < half)
-        if inside % 2 == 0:
-            triples.append((a, b, c))
-    g = Hypergraph3.from_triples(n, triples)
+    # an even number of vertices in the first half: none or two
+    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n), [(1, 1, 1), (0, 0, 1)]))
     claims = ConstructionClaims(
         name="f4",
         n=n,
@@ -448,17 +457,10 @@ def blow_up(h: Hypergraph3, factor: int) -> tuple[Hypergraph3, ConstructionClaim
     n = factor * m + 1
     apex = n - 1
     parts = _contiguous_parts([factor] * m)
-    idx = _part_index(parts, n - 1)
-    triples = []
-    for a, b, c in combinations(range(n - 1), 3):
-        pa, pb, pc = idx[a], idx[b], idx[c]
-        if len({pa, pb, pc}) < 3 or h.contains(pa, pb, pc):
-            triples.append((a, b, c))
-    for i, j in combinations(range(m), 2):
-        for u in parts[i]:
-            for v in parts[j]:
-                triples.append((u, v, apex))
-    g = Hypergraph3.from_triples(n, triples)
+    allowed = _triples_over(m, lambda d: d < 3)
+    allowed += [t for t in combinations(range(m), 3) if h.contains(*t)]
+    allowed += [(i, j, m) for i, j in combinations(range(m), 2)]
+    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n - 1) + [m], allowed))
     claims = ConstructionClaims(
         name="blowup",
         n=n,
@@ -481,12 +483,7 @@ def fano_bipartite(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
         raise ValueError("fano_bipartite needs n >= 7")
     half = n // 2
     parts = _contiguous_parts((half, n - half))
-    triples = [
-        (a, b, c)
-        for a, b, c in combinations(range(n), 3)
-        if a < half and c >= half
-    ]
-    g = Hypergraph3.from_triples(n, triples)
+    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n), [(0, 0, 1), (0, 1, 1)]))
     claims = ConstructionClaims(
         name="fano2",
         n=n,
@@ -507,14 +504,8 @@ def f32_tripartite(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
     if n < 5:
         raise ValueError("f32_tripartite needs n >= 5")
     parts = _contiguous_parts(_ascending_sizes(n, 3))
-    idx = _part_index(parts, n)
-    allowed = {tuple(sorted((i, i, (i + 1) % 3))) for i in range(3)}
-    triples = [
-        (a, b, c)
-        for a, b, c in combinations(range(n), 3)
-        if tuple(sorted((idx[a], idx[b], idx[c]))) in allowed
-    ]
-    g = Hypergraph3.from_triples(n, triples)
+    allowed = [(i, i, (i + 1) % 3) for i in range(3)]
+    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n), allowed))
     claims = ConstructionClaims(
         name="f32tri",
         n=n,

@@ -6,15 +6,20 @@ set exactly when the triple is an edge, where
     rank({a<b<c}) = a + C(b,2) + C(c,3)
 
 is the colexicographic rank, so {0,1,2} is bit 0 and {n-3,n-2,n-1} is bit
-C(n,3)-1.  Graphs are immutable after construction and safe to share across
-threads; derived views (per-pair neighbour masks, link graphs) are cached
-lazily and never escape as mutable state.
+C(n,3)-1.  That integer is the canonical, hashable value; graphs are
+immutable and safe to share across threads.  One decode path serves every
+view: a graph turns its set bits (the edge ranks) into an int16 array of
+triples once, lazily, by binary search in the binomial columns C(v,2), C(v,3)
+(``edge_array``).  Pair masks, ``min_codegree``, link graphs and
+``dumps_h3`` are numpy passes over that array; ``contains`` reads one bit.
+``from_triples`` and ``loads_h3`` rank whole vertex arrays at once.
 
 Two interchangeable text encodings are supported by ``dumps_h3``/``loads_h3``:
 
 * edge-list form: a header line ``n m`` followed by m lines ``a b c`` with
   0-based vertices ascending within each line.  ``#`` starts a comment and
-  blank lines are ignored.  Edges are written in colex order.
+  blank lines are ignored.  Edges are written in colex order; an edge listed
+  twice is an error.
 * hex form: a header line ``n: <vertices>`` followed by the raw edge bitmap
   as a hex string (most significant digits first; may wrap over lines).
 
@@ -23,9 +28,12 @@ Both forms round-trip bit-exactly.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from math import comb
+import re
+from itertools import chain, combinations, permutations
+from math import comb, isqrt
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "Hypergraph3",
@@ -36,6 +44,7 @@ __all__ = [
     "triple_rank",
     "triple_unrank",
     "pair_rank",
+    "triple_table",
     "dumps_h3",
     "loads_h3",
     "write_h3",
@@ -46,6 +55,12 @@ __all__ = [
 # Largest vertex count for which whole-group operations (canonical keys,
 # exact edit distance) enumerate all n! relabelings.
 EXACT_MODE_CAP = 8
+
+# edges() and dumps_h3 turn this many rows of the edge array into Python objects at a time
+_CHUNK = 4096
+
+# pair_mask's boolean (pair, vertex) matrix is built in blocks of at most this many bytes
+_MASK_BLOCK_BYTES = 1 << 24
 
 
 def triple_rank(a: int, b: int, c: int) -> int:
@@ -62,15 +77,15 @@ def triple_unrank(rank: int) -> tuple[int, int, int]:
     """Inverse of :func:`triple_rank`: the sorted triple with the given rank."""
     if rank < 0:
         raise ValueError("rank must be non-negative")
-    c = 2
+    # c is the largest with C(c,3) <= rank; the cube root lands within one step
+    c = int((6 * rank) ** (1 / 3)) + 2
+    while comb(c, 3) > rank:
+        c -= 1
     while comb(c + 1, 3) <= rank:
         c += 1
     rest = rank - comb(c, 3)
-    b = 1
-    while comb(b + 1, 2) <= rest:
-        b += 1
-    a = rest - comb(b, 2)
-    return a, b, c
+    b = (1 + isqrt(8 * rest + 1)) // 2
+    return rest - comb(b, 2), b, c
 
 
 def pair_rank(u: int, v: int) -> int:
@@ -83,10 +98,75 @@ def pair_rank(u: int, v: int) -> int:
     return u + comb(v, 2)
 
 
+# -- colex ranks of whole vertex arrays, and bitmaps of whole rank arrays -------
+
+def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The colex rank offsets: C(v,2) as int32 and C(v,3) as int64, for v in 0..n-1."""
+    v = np.arange(n, dtype=np.int64)
+    return (v * (v - 1) // 2).astype(np.int32), v * (v - 1) * (v - 2) // 6
+
+
+def _unrank(n: int, ranks: np.ndarray, k: int) -> np.ndarray:
+    """(len(ranks), k) int16 array of the sorted pairs (k = 2) or triples (k = 3)
+    with the given colex ranks: the largest vertex is found in the binomial
+    column by binary search, the rest of the rank ranks the smaller ones."""
+    c2, c3 = _binomials(n)
+    out = np.empty((len(ranks), k), dtype=np.int16)
+    rest = ranks.astype(np.int64)
+    for col, binom in ((2, c3), (1, c2))[3 - k:]:
+        out[:, col] = np.searchsorted(binom, rest, side="right") - 1
+        rest -= binom[out[:, col]]
+    out[:, 0] = rest
+    return out
+
+
+def triple_table(n: int) -> np.ndarray:
+    """Fresh (C(n,3), 3) int16 array whose row r is the sorted triple of colex rank r."""
+    return _unrank(n, np.arange(comb(n, 3)), 3)
+
+
+def _pair_ranks(n: int, t: np.ndarray, i: int, j: int) -> np.ndarray:
+    """int32 colex ranks of the pairs formed by columns i < j of a sorted vertex array."""
+    return _binomials(n)[0][t[:, j]] + t[:, i]
+
+
+def _rank_rows(n: int, t: np.ndarray) -> np.ndarray:
+    """int64 colex ranks of the rows of an (m, 3) vertex array, sorted in place."""
+    t.sort(axis=1)
+    bad = (t[:, 0] < 0) | (t[:, 2] >= n) | (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
+    if bad.any():
+        raise ValueError(f"not a valid triple on {n} vertices: {tuple(t[bad.argmax()].tolist())}")
+    c2, c3 = _binomials(n)
+    ranks = c3[t[:, 2]] + c2[t[:, 1]]
+    ranks += t[:, 0]
+    return ranks
+
+
+def _bitmap(ranks: np.ndarray) -> int:
+    """The int with exactly the bits at the given positions set."""
+    buf = np.zeros(int(ranks.max()) // 8 + 1 if len(ranks) else 0, dtype=np.uint8)
+    np.bitwise_or.at(buf, ranks >> 3, np.left_shift(np.uint8(1), (ranks & 7).astype(np.uint8)))
+    return int.from_bytes(buf.tobytes(), "little")
+
+
+def _set_bits(raw: bytes) -> np.ndarray:
+    """Ascending positions of the set bits of a little-endian bitmap."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    nonzero = np.flatnonzero(buf)
+    byte, bit = np.nonzero(np.unpackbits(buf[nonzero, None], axis=1, bitorder="little"))
+    return nonzero[byte] * 8 + bit
+
+
+def _rows_to_ints(matrix: np.ndarray) -> list[int]:
+    """Row i of a boolean matrix as the int with bit j set iff matrix[i, j]."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 class Hypergraph3:
     """An immutable 3-graph: a vertex count and an edge bitmap."""
 
-    __slots__ = ("n", "bits", "_pair_masks")
+    __slots__ = ("n", "bits", "_raw", "_triples", "_pair_masks")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
@@ -95,21 +175,38 @@ class Hypergraph3:
             raise ValueError(f"edge bitmap does not fit in {comb(n, 3)} bits")
         self.n = n
         self.bits = bits
+        self._raw: Optional[bytes] = None
+        self._triples: Optional[np.ndarray] = None
         self._pair_masks: Optional[list[int]] = None
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[Sequence[int]]) -> "Hypergraph3":
-        bits = 0
-        for t in triples:
-            if len(t) != 3:
-                raise ValueError(f"not a triple: {tuple(t)}")
-            a, b, c = t
-            if len({a, b, c}) != 3:
-                raise ValueError(f"triple has a repeated vertex: {tuple(t)}")
-            if not all(0 <= v < n for v in (a, b, c)):
-                raise ValueError(f"vertex out of range 0..{n - 1}: {tuple(t)}")
-            bits |= 1 << triple_rank(a, b, c)
-        return cls(n, bits)
+        try:
+            t = np.array(list(triples), dtype=np.int16)
+        except OverflowError:
+            raise ValueError(f"vertex out of range 0..{n - 1}") from None
+        if t.size and t.shape[1:] != (3,):
+            raise ValueError(f"not a sequence of vertex triples (array shape {t.shape})")
+        return cls(n, _bitmap(_rank_rows(n, t.reshape(-1, 3))))
+
+    @classmethod
+    def from_flags(cls, n: int, flags: np.ndarray) -> "Hypergraph3":
+        """Graph whose edges are the triples of colex rank r with flags[r] true."""
+        return cls(n, _bitmap(np.flatnonzero(flags)))
+
+    def _bitmap_bytes(self) -> bytes:
+        # little-endian, up to the byte holding the highest edge
+        if self._raw is None:
+            self._raw = self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little")
+        return self._raw
+
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 3) int16 array of sorted triples, in colex order."""
+        if self._triples is None:
+            # the one decode: the bitmap's set bits are the edge ranks
+            self._triples = _unrank(self.n, _set_bits(self._bitmap_bytes()), 3)
+            self._triples.flags.writeable = False
+        return self._triples
 
     # -- basic queries ----------------------------------------------------
 
@@ -117,7 +214,8 @@ class Hypergraph3:
         """Edge membership; invariant under permutation of the arguments."""
         if len({a, b, c}) != 3 or not all(0 <= v < self.n for v in (a, b, c)):
             raise ValueError(f"not a valid triple on {self.n} vertices: {(a, b, c)}")
-        return (self.bits >> triple_rank(a, b, c)) & 1 == 1
+        r, raw = triple_rank(a, b, c), self._bitmap_bytes()
+        return r >> 3 < len(raw) and raw[r >> 3] >> (r & 7) & 1 == 1
 
     @property
     def num_edges(self) -> int:
@@ -125,20 +223,27 @@ class Hypergraph3:
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Edges as sorted triples, in colex (ascending rank) order."""
-        b = self.bits
-        while b:
-            r = (b & -b).bit_length() - 1
-            yield triple_unrank(r)
-            b &= b - 1
+        t = self.edge_array()
+        for lo in range(0, len(t), _CHUNK):
+            yield from map(tuple, t[lo:lo + _CHUNK].tolist())
+
+    def _pair_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        # per edge and pair in it: the pair's rank, and the edge's third vertex
+        t = self.edge_array()
+        keys = np.concatenate([_pair_ranks(self.n, t, i, j) for i, j in ((0, 1), (0, 2), (1, 2))])
+        return keys, np.concatenate([t[:, 2], t[:, 1], t[:, 0]])
 
     def _masks(self) -> list[int]:
-        # pair-rank indexed vertex bitmaps: bit w of entry {u,v} <=> uvw is an edge
+        # pair-rank indexed vertex bitmaps: bit w of entry {u,v} <=> uvw is an edge,
+        # packed from blocks of rows of the boolean (pair, vertex) matrix
         if self._pair_masks is None:
-            masks = [0] * comb(self.n, 2)
-            for a, b, c in self.edges():
-                masks[a + comb(b, 2)] |= 1 << c
-                masks[a + comb(c, 2)] |= 1 << b
-                masks[b + comb(c, 2)] |= 1 << a
+            n, (keys, third) = self.n, self._pair_keys()
+            rows, masks = max(1, _MASK_BLOCK_BYTES // max(n, 1)), []
+            for lo in range(0, comb(n, 2), rows):
+                block = np.zeros((min(rows, comb(n, 2) - lo), n), dtype=bool)
+                inside = (keys >= lo) & (keys < lo + rows)
+                block[keys[inside] - lo, third[inside]] = True
+                masks += _rows_to_ints(block)
             self._pair_masks = masks
         return self._pair_masks
 
@@ -164,8 +269,7 @@ class Hypergraph3:
         """Minimum codegree over all pairs; 0 when there are no pairs."""
         if self.n < 2:
             return 0
-        masks = self._masks()
-        return min(m.bit_count() for m in masks)
+        return int(np.bincount(self._pair_keys()[0], minlength=comb(self.n, 2)).min())
 
     def min_degree(self) -> int:
         if self.n == 0:
@@ -174,15 +278,10 @@ class Hypergraph3:
 
     def link_graph(self, x: int) -> "LinkGraph":
         self._check_vertex(x)
-        pair_bits = 0
-        for a, b, c in self.edges():
-            if x == a:
-                pair_bits |= 1 << pair_rank(b, c)
-            elif x == b:
-                pair_bits |= 1 << pair_rank(a, c)
-            elif x == c:
-                pair_bits |= 1 << pair_rank(a, b)
-        return LinkGraph(self.n, x, pair_bits)
+        t = self.edge_array()
+        through_x = t[(t == x).any(axis=1)]
+        rest = through_x[through_x != x].reshape(-1, 2)
+        return LinkGraph(self.n, x, _bitmap(_pair_ranks(self.n, rest, 0, 1)))
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
         """True iff no triple inside the given vertex set is an edge."""
@@ -235,23 +334,19 @@ class LinkGraph:
     def contains(self, u: int, v: int) -> bool:
         return (self.bits >> pair_rank(u, v)) & 1 == 1
 
+    def _pair_array(self) -> np.ndarray:
+        raw = self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little")
+        return _unrank(self.n, _set_bits(raw), 2)
+
     def pairs(self) -> Iterator[tuple[int, int]]:
-        b = self.bits
-        while b:
-            r = (b & -b).bit_length() - 1
-            v = 1
-            while comb(v + 1, 2) <= r:
-                v += 1
-            yield r - comb(v, 2), v
-            b &= b - 1
+        yield from map(tuple, self._pair_array().tolist())
 
     def _adjacency(self) -> list[int]:
         if self._adj is None:
-            adj = [0] * self.n
-            for u, v in self.pairs():
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            self._adj = adj
+            p = self._pair_array()
+            adj = np.zeros((self.n, self.n), dtype=bool)
+            adj[p[:, 0], p[:, 1]] = adj[p[:, 1], p[:, 0]] = True
+            self._adj = _rows_to_ints(adj)
         return self._adj
 
     def adjacency_mask(self, u: int) -> int:
@@ -294,31 +389,27 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 # -- whole-group operations (n <= EXACT_MODE_CAP) --------------------------
 
-_RANK_PERMS: dict[int, list[tuple[int, ...]]] = {}
+_RANK_PERMS: dict[int, np.ndarray] = {}
 
 
-def _rank_perm_tables(n: int) -> list[tuple[int, ...]]:
-    # one table per vertex permutation, mapping old triple rank -> new rank
+def _rank_perm_tables(n: int) -> np.ndarray:
+    # row p maps each triple rank to its rank under the p-th vertex permutation
     tables = _RANK_PERMS.get(n)
     if tables is None:
-        by_rank = [None] * comb(n, 3)
-        for t in combinations(range(n), 3):
-            by_rank[triple_rank(*t)] = t
-        tables = [
-            tuple(triple_rank(p[a], p[b], p[c]) for a, b, c in by_rank)
-            for p in permutations(range(n))
-        ]
+        images = np.array(list(permutations(range(n))), dtype=np.int16)[:, triple_table(n)]
+        images.sort(axis=2)
+        c2, c3 = (c.astype(np.uint8) for c in _binomials(n))
+        tables = c3[images[..., 2]] + c2[images[..., 1]] + images[..., 0].astype(np.uint8)
         _RANK_PERMS[n] = tables
     return tables
 
 
-def _permute_bits(bits: int, table: tuple[int, ...]) -> int:
-    out = 0
-    while bits:
-        r = (bits & -bits).bit_length() - 1
-        out |= 1 << table[r]
-        bits &= bits - 1
-    return out
+def _relabeled_bitmaps(g: Hypergraph3, caller: str) -> np.ndarray:
+    """The uint64 edge bitmap of g under each of the n! vertex permutations."""
+    if g.n > EXACT_MODE_CAP:
+        raise ValueError(f"{caller} supports n <= {EXACT_MODE_CAP}")
+    ranks = _rank_perm_tables(g.n)[:, _set_bits(g._bitmap_bytes())].astype(np.uint64)
+    return (np.uint64(1) << ranks).sum(axis=1, dtype=np.uint64)
 
 
 def canonical_key(g: Hypergraph3) -> bytes:
@@ -327,9 +418,7 @@ def canonical_key(g: Hypergraph3) -> bytes:
     The key is the minimum edge bitmap over all n! vertex relabelings,
     serialized big-endian behind the vertex count.
     """
-    if g.n > EXACT_MODE_CAP:
-        raise ValueError(f"canonical_key supports n <= {EXACT_MODE_CAP}")
-    best = min(_permute_bits(g.bits, t) for t in _rank_perm_tables(g.n))
+    best = int(_relabeled_bitmaps(g, "canonical_key").min())
     width = (comb(g.n, 3) + 7) // 8
     return bytes([g.n]) + best.to_bytes(width, "big")
 
@@ -338,13 +427,8 @@ def edit_distance(g: Hypergraph3, h: Hypergraph3) -> int:
     """Minimum number of edge toggles making g isomorphic to h (exact, n <= 8)."""
     if g.n != h.n:
         raise ValueError("edit distance needs equal vertex counts")
-    if g.n > EXACT_MODE_CAP:
-        raise ValueError(f"edit_distance supports n <= {EXACT_MODE_CAP}")
-    gbits = g.bits
-    return min(
-        (gbits ^ _permute_bits(h.bits, t)).bit_count()
-        for t in _rank_perm_tables(g.n)
-    )
+    relabeled = _relabeled_bitmaps(h, "edit_distance")
+    return int(np.bitwise_count(np.uint64(g.bits) ^ relabeled).min())
 
 
 # -- serialization ----------------------------------------------------------
@@ -352,42 +436,48 @@ def edit_distance(g: Hypergraph3, h: Hypergraph3) -> int:
 
 def dumps_h3(g: Hypergraph3, fmt: str = "text") -> str:
     if fmt == "text":
-        lines = [f"{g.n} {g.num_edges}"]
-        lines.extend(f"{a} {b} {c}" for a, b, c in g.edges())
-        return "\n".join(lines) + "\n"
+        # one format call per block of edges: no per-edge string objects
+        t = g.edge_array()
+        blocks = (t[lo:lo + _CHUNK].ravel().tolist() for lo in range(0, len(t), _CHUNK))
+        lines = ("%d %d %d\n" * (len(b) // 3) % tuple(b) for b in blocks)
+        return "".join(chain([f"{g.n} {g.num_edges}\n"], lines))
     if fmt == "hex":
         width = max(1, (comb(g.n, 3) + 3) // 4)
         return f"n: {g.n}\n{g.bits:0{width}x}\n"
     raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'hex')")
 
 
+# a non-blank line that is not three vertex numbers (newlines excluded from \s)
+_BAD_EDGE_LINE = re.compile(r"(?m)^(?![^\S\n]*(?:[0-9]{1,9}[^\S\n]+){2}[0-9]{1,9}[^\S\n]*$).*\S.*$")
+
+
 def loads_h3(text: str) -> Hypergraph3:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
+    if "#" in text:
+        text = re.sub(r"#[^\n]*", "", text)
+    head, _, body = text.lstrip().partition("\n")
+    if not head:
         raise ValueError("empty .h3 input")
-    head = lines[0]
     if head.startswith("n:"):
         n = int(head[2:].strip())
-        hexstr = "".join(lines[1:])
-        bits = int(hexstr, 16) if hexstr else 0
-        return Hypergraph3(n, bits)
+        hexstr = "".join(line.strip() for line in body.splitlines())
+        return Hypergraph3(n, int(hexstr, 16) if hexstr else 0)
     parts = head.split()
     if len(parts) != 2:
         raise ValueError(f"bad header line {head!r}: expected 'n m' or 'n: <count>'")
     n, m = int(parts[0]), int(parts[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
-    triples = []
-    for line in lines[1:]:
-        vs = line.split()
-        if len(vs) != 3:
-            raise ValueError(f"bad edge line {line!r}")
-        triples.append(tuple(int(v) for v in vs))
-    return Hypergraph3.from_triples(n, triples)
+    if bad := _BAD_EDGE_LINE.search(body):
+        raise ValueError(f"bad edge line {bad.group().strip()!r}")
+    # every non-blank line holds three numbers; fromstring reads blank input as [0]
+    flat = np.zeros(0, np.int32) if body.isspace() else np.fromstring(body, dtype=np.int32, sep=" ")
+    if len(flat) != 3 * m:
+        raise ValueError(f"header promises {m} edges, found {len(flat) // 3}")
+    ranks = _rank_rows(n, flat.reshape(-1, 3))
+    g = Hypergraph3(n, _bitmap(ranks))
+    if g.num_edges != m:
+        ranks.sort()
+        twice = ranks[1:][ranks[1:] == ranks[:-1]][0]
+        raise ValueError(f"edge {' '.join(map(str, triple_unrank(int(twice))))} is listed twice")
+    return g
 
 
 def write_h3(g: Hypergraph3, path, fmt: str = "text") -> None:

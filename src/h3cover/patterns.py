@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from .core import Hypergraph3, _iter_bits
@@ -76,11 +76,7 @@ def degeneracy(g: Hypergraph3) -> tuple[int, tuple[int, ...]]:
     order_rev: list[int] = []
     r = 0
     while alive:
-        deg = {v: 0 for v in alive}
-        for e in edges:
-            if all(v in alive for v in e):
-                for v in e:
-                    deg[v] += 1
+        deg = {v: sum(v in e for e in edges if alive.issuperset(e)) for v in alive}
         min_deg = min(deg.values())
         r = max(r, min_deg)
         pick = min(v for v, d in deg.items() if d == min_deg)
@@ -96,8 +92,7 @@ def _catalog_graph(name: str, t: Optional[int]) -> tuple[str, Hypergraph3]:
         minus = m.group(2) == "-"
         if size is None or size < 4:
             raise ValueError("complete patterns need t >= 4")
-        triples = list(permutations(range(size), 3))
-        edges = {tuple(sorted(e)) for e in triples}
+        edges = set(combinations(range(size), 3))
         if minus:
             edges.discard((size - 3, size - 2, size - 1))
         return (f"K{size}-" if minus else f"K{size}"), Hypergraph3.from_triples(size, edges)
@@ -161,44 +156,6 @@ def greedy_cover_bound(pat: Pattern, n: int) -> int:
 # -- backtracking embedding -------------------------------------------------
 
 
-def _search_order(pat: Pattern, anchor: int) -> tuple[tuple[int, tuple], ...]:
-    """Static vertex order from `anchor`, most-constrained first.
-
-    Returns per-position (pattern_vertex, constraints) where constraints are
-    the pattern edges of that vertex whose other two endpoints appear earlier,
-    as pairs of earlier positions.
-    """
-    key = anchor
-    cached = pat._orders.get(key)
-    if cached is not None:
-        return cached
-    edges = pat.edge_list()
-    placed = [anchor]
-    remaining = set(range(pat.f)) - {anchor}
-    while remaining:
-        def score(v: int) -> tuple[int, int, int]:
-            full = sum(1 for e in edges if v in e and all(u in placed or u == v for u in e))
-            touch = sum(1 for e in edges if v in e and any(u in placed for u in e))
-            return (full, touch, -v)
-
-        nxt = max(remaining, key=score)
-        placed.append(nxt)
-        remaining.remove(nxt)
-    pos_of = {v: i for i, v in enumerate(placed)}
-    plan = []
-    for i, v in enumerate(placed):
-        cons = []
-        for e in edges:
-            if v in e:
-                others = [u for u in e if u != v]
-                if pos_of[others[0]] < i and pos_of[others[1]] < i:
-                    cons.append((pos_of[others[0]], pos_of[others[1]]))
-        plan.append((v, tuple(cons)))
-    plan_t = tuple(plan)
-    pat._orders[key] = plan_t
-    return plan_t
-
-
 def _backtrack(host: Hypergraph3, plan, images: list[int], used: int, pos: int) -> bool:
     if pos == len(plan):
         return True
@@ -231,7 +188,7 @@ def embed_covering(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int
     if host.n < pat.f:
         return None
     for anchor in range(pat.f):
-        plan = _search_order(pat, anchor)
+        plan = _anchored_plan(pat, (anchor,))
         images = [-1] * pat.f
         images[0] = x
         if _backtrack(host, plan, images, 1 << x, 1):
@@ -250,26 +207,20 @@ def greedy_embed(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int, 
         raise ValueError(f"vertex {x} out of range")
     if host.n < pat.f:
         return None
-    order = pat.ordering
-    pos_of = {v: i for i, v in enumerate(order)}
-    edges = pat.edge_list()
+    plan = _anchored_plan(pat, pat.ordering)
     images: list[int] = [x]
     used = 1 << x
-    for i in range(1, pat.f):
-        v = order[i]
+    for _, cons in plan[1:]:
         cand = (1 << host.n) - 1
-        for e in edges:
-            if v in e:
-                others = [u for u in e if u != v]
-                if pos_of[others[0]] < i and pos_of[others[1]] < i:
-                    cand &= host.pair_mask(images[pos_of[others[0]]], images[pos_of[others[1]]])
+        for i, j in cons:
+            cand &= host.pair_mask(images[i], images[j])
         cand &= ~used
         if not cand:
             return None
         pick = (cand & -cand).bit_length() - 1
         images.append(pick)
         used |= 1 << pick
-    return {order[i]: images[i] for i in range(pat.f)}
+    return {v: images[i] for i, (v, _) in enumerate(plan)}
 
 
 def uncovered_vertices(host: Hypergraph3, pat: Pattern) -> tuple[int, ...]:
@@ -289,22 +240,21 @@ def edge_extendable(host: Hypergraph3, e: Sequence[int], pat: Pattern) -> bool:
         images = [-1] * pat.f
         images[0], images[1], images[2] = a, b, c
         used = (1 << a) | (1 << b) | (1 << c)
-        ok = True
-        for pos in range(3):
-            for i, j in plan[pos][1]:
-                if not host.contains(images[i], images[j], images[pos]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and _backtrack(host, plan, images, used, 3):
+        anchored = all(host.contains(images[i], images[j], images[pos])
+                       for pos in range(3) for i, j in plan[pos][1])
+        if anchored and _backtrack(host, plan, images, used, 3):
             return True
     return False
 
 
-def _anchored_plan(pat: Pattern, anchors: tuple[int, int, int]):
-    key = anchors
-    cached = pat._orders.get(key)
+def _anchored_plan(pat: Pattern, anchors: tuple[int, ...]):
+    """Static vertex order from the anchors, most-constrained first.
+
+    Returns per-position (pattern_vertex, constraints) where constraints are
+    the pattern edges of that vertex whose other two endpoints appear earlier,
+    as pairs of earlier positions.
+    """
+    cached = pat._orders.get(anchors)
     if cached is not None:
         return cached
     edges = pat.edge_list()
@@ -331,5 +281,5 @@ def _anchored_plan(pat: Pattern, anchors: tuple[int, int, int]):
                     cons.append((lo, hi))
         plan.append((v, tuple(cons)))
     plan_t = tuple(plan)
-    pat._orders[key] = plan_t
+    pat._orders[anchors] = plan_t
     return plan_t

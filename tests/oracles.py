@@ -8,9 +8,13 @@ dual route.
 
 from itertools import combinations, permutations
 
+from h3cover import triple_rank
+
 
 def triples_of(g):
-    return [tuple(e) for e in g.edges()]
+    """Edges read straight off the bitmap: each triple whose rank bit is set, in colex order."""
+    ranked = sorted(combinations(range(g.n), 3), key=lambda t: triple_rank(*t))
+    return [t for t in ranked if g.bits >> triple_rank(*t) & 1]
 
 
 def codegree(g, u, v):
@@ -60,10 +64,10 @@ def degeneracy_r(g):
 
 def edit_distance(g, h):
     """Min over bijections of the symmetric difference of edge sets."""
-    ge = {tuple(e) for e in g.edges()}
+    ge = set(triples_of(g))
     best = None
     for p in permutations(range(h.n)):
-        he = {tuple(sorted((p[a], p[b], p[c]))) for a, b, c in h.edges()}
+        he = {tuple(sorted((p[a], p[b], p[c]))) for a, b, c in triples_of(h)}
         d = len(ge ^ he)
         if best is None or d < best:
             best = d
@@ -86,3 +90,41 @@ def c2_brute(pat, n, hypergraph_cls):
         if best_val is None or val > best_val:
             best_val, best_bits = val, bits
     return best_val, best_bits
+
+
+def canonical_bitmap(g):
+    """Least edge bitmap over all vertex relabelings, by explicit permutation."""
+    edges = triples_of(g)
+    return min(
+        sum(1 << triple_rank(p[a], p[b], p[c]) for a, b, c in edges)
+        for p in permutations(range(g.n))
+    )
+
+
+def labelled_triples(label, keep):
+    """Triples of 0..len(label)-1 whose sorted tuple of vertex labels passes keep."""
+    return {
+        t for t in combinations(range(len(label)), 3)
+        if keep(tuple(sorted(label[v] for v in t)))
+    }
+
+
+def partition_violations(g, x, parts):
+    """The four violation counts of an apex tripartition, one membership test each."""
+    edges = set(triples_of(g))
+
+    def has(*t):
+        return tuple(sorted(t)) in edges
+
+    within = sum(has(x, u, v) for part in parts for u, v in combinations(part, 2))
+    missing_cross = sum(
+        not has(x, u, v)
+        for i, j in combinations(range(3), 2) for u in parts[i] for v in parts[j]
+    )
+    tripartite = sum(has(u, v, w) for u in parts[0] for v in parts[1] for w in parts[2])
+    missing_two = sum(
+        not has(u, v, w)
+        for i in range(3) for j in range(3) if i != j
+        for u, v in combinations(parts[i], 2) for w in parts[j]
+    )
+    return within, missing_cross, tripartite, missing_two

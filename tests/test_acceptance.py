@@ -285,3 +285,34 @@ def test_criterion_10_density_consistency():
         if not br.lower <= rep.value <= br.upper:
             failures.append(f"n={n}: exhaustive value {rep.value} outside bracket")
     _report(10, "densities approached monotonically; exhaustive values inside brackets", failures)
+
+
+def test_criterion_11_paper_regime_k4():
+    """n > 98, where the paper proves the K4 threshold floor((2n-5)/3)."""
+    failures = []
+    k4 = pattern("K4")
+    t0 = time.perf_counter()
+    for n in (99, 150):
+        want = (2 * n - 5) // 3
+        got = f1(n)[0].min_codegree()
+        if not got == want == c2_bounds(k4, n).exact:
+            failures.append(f"f1({n}): min codegree {got}, formula {want}, {c2_bounds(k4, n)}")
+    n = 150
+    pairs = admissible_sample(str(n % 3), n, 11)
+    g, claims = f1_variant(str(n % 3), pairs, n)
+    if g.min_codegree() != (2 * n - 5) // 3:
+        failures.append(f"f1e({n}): min codegree {g.min_codegree()}")
+    if uncovered_vertices(g, k4) != (n - 1,):
+        failures.append(f"f1e({n}): uncovered set is not exactly the apex")
+    rec = recover_partition(g, n - 1)
+    if rec is None or rec.partition.parts != claims.partition.parts:
+        failures.append(f"f1e({n}): planted parts not recovered")
+    else:
+        d = rec.diagnostics
+        counts = (d.within_part_link, d.missing_two_part, d.missing_cross_link)
+        if counts != (0, 0, len(pairs.pairs)):
+            failures.append(f"f1e({n}): violations {d}")
+    elapsed = time.perf_counter() - t0
+    if elapsed >= 20:
+        failures.append(f"runtime {elapsed:.1f}s exceeds 20s")
+    _report(11, f"n = 99 and 150: codegree, apex uncovered, recovery ({elapsed:.1f}s)", failures)

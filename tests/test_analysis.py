@@ -1,6 +1,8 @@
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 from itertools import combinations
+from math import comb
 
 from h3cover import (
     Hypergraph3,
@@ -17,7 +19,7 @@ from h3cover import (
     recover_partition,
     verify_construction,
 )
-from h3cover.analysis import SY_SETS
+from h3cover.analysis import SY_SETS, _measure_partition
 
 import oracles
 
@@ -262,3 +264,22 @@ def test_verify_fails_on_tamper():
 def test_verify_passes_on_f2_with_k4_minus():
     g, claims = f2(13)
     assert verify_construction(g, claims, pattern("K4-")).ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=4, max_value=11).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(min_value=0, max_value=(1 << comb(n, 3)) - 1),
+    st.randoms(use_true_random=False),
+)))
+def test_partition_counts_match_oracle(case):
+    n, bits, rnd = case
+    g = Hypergraph3(n, bits)
+    x = rnd.randrange(n)
+    rest = [v for v in range(n) if v != x]
+    rnd.shuffle(rest)
+    lo, hi = sorted(rnd.sample(range(len(rest) + 1), 2))
+    parts = tuple(tuple(sorted(p)) for p in (rest[:lo], rest[lo:hi], rest[hi:]))
+    d = _measure_partition(g, x, parts)
+    got = (d.within_part_link, d.missing_cross_link, d.tripartite_edges, d.missing_two_part)
+    assert got == oracles.partition_violations(g, x, parts)

@@ -151,3 +151,38 @@ def test_table_format_runs(tmp_path, capsys):
     code, stdout, _ = run(capsys, "bounds", "--pattern", "C5", "--n", "5..8", "--format", "table")
     assert code == 0
     assert "lower" in stdout
+
+
+def test_duplicate_edge_line_exits_2(tmp_path, capsys):
+    dup = tmp_path / "dup.h3"
+    dup.write_text("12 2\n0 1 2\n0 1 2\n")
+    code, stdout, err = run(capsys, "cover", "--in", str(dup), "--pattern", "K4")
+    assert code == 2
+    assert stdout == ""
+    assert "0 1 2 is listed twice" in err
+
+
+def _claims_without(tmp_path, capsys, mutate):
+    out = tmp_path / "f1_9.h3"
+    run(capsys, "construct", "f1", "--n", "9", "-o", str(out))
+    sidecar = tmp_path / "f1_9.claims.json"
+    claims = json.loads(sidecar.read_text())
+    mutate(claims)
+    sidecar.write_text(json.dumps(claims))
+    return run(capsys, "verify", "--in", str(out), "--pattern", "K4")
+
+
+def test_verify_claims_missing_field_exits_2(tmp_path, capsys):
+    code, stdout, err = _claims_without(tmp_path, capsys, lambda c: c.pop("partition"))
+    assert code == 2
+    assert stdout == ""
+    assert err.strip() == "error: claims: missing field 'partition'"
+
+
+def test_verify_claims_ill_typed_field_exits_2(tmp_path, capsys):
+    code, _, err = _claims_without(
+        tmp_path, capsys, lambda c: c["partition"].update(parts=[[0, "1"]])
+    )
+    assert code == 2
+    assert "'partition.parts' must be a list of integer lists" in err
+    assert len(err.strip().splitlines()) == 1

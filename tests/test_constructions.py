@@ -275,3 +275,69 @@ def test_claims_json_roundtrip():
         _, claims = maker()
         again = ConstructionClaims.from_json(claims.as_json())
         assert again == claims
+
+
+# -- every family against its defining rule, checked triple by triple ------------
+
+APEX = 99  # label of the apex; sorts after every part index
+
+
+def _labels(claims):
+    label = [APEX] * claims.n
+    for i, part in enumerate(claims.partition.parts):
+        for v in part:
+            label[v] = i
+    return label
+
+
+def _f2_rule(p):
+    if p[2] == APEX:
+        return (p[1] - p[0]) % 6 in (1, 5)
+    runs = [(i, (i + 1) % 6, (i + 2) % 6) for i in range(6)]
+    forbidden = {tuple(sorted(t)) for i, j, k in runs for t in ((i, i, j), (i, j, j), (i, j, k))}
+    return p not in forbidden
+
+
+FAMILY_RULES = (
+    (f1, range(4, 30), lambda p: len(set(p)) == 3 if p[2] == APEX else len(set(p)) <= 2),
+    (f2, range(7, 30), _f2_rule),
+    (f3, range(5, 30), lambda p: p[0] == p[1] if p[2] == APEX else len(set(p)) == 2),
+    (f4, range(5, 30), lambda p: p.count(0) % 2 == 0),
+    (fano_bipartite, range(7, 30), lambda p: len(set(p)) == 2),
+    (f32_tripartite, range(5, 30), lambda p: p in {(0, 0, 1), (1, 1, 2), (0, 2, 2)}),
+)
+
+
+def test_families_match_their_defining_rules():
+    for maker, ns, rule in FAMILY_RULES:
+        for n in ns:
+            g, claims = maker(n)
+            want = oracles.labelled_triples(_labels(claims), rule)
+            assert set(oracles.triples_of(g)) == want, (maker, n)
+
+
+def test_variants_swap_one_apex_triple_per_pair():
+    for n in range(6, 30):
+        for case in ("0", "1", "2", "2p"):
+            if n % 3 != {"0": 0, "1": 1, "2": 2, "2p": 2}[case]:
+                continue
+            pairs = admissible_sample(case, n, seed=n)
+            g, claims = f1_variant(case, pairs, n)
+            label = _labels(claims)
+            want = oracles.labelled_triples(label, FAMILY_RULES[0][2])
+            for u, v in pairs.pairs:
+                want.discard((u, v, n - 1))
+                third = claims.partition.parts[3 - label[u] - label[v]]
+                want |= {tuple(sorted((u, v, w))) for w in third}
+            assert set(oracles.triples_of(g)) == want, (case, n)
+
+
+def test_blow_up_matches_its_defining_rule():
+    for base in (pattern("K4-").graph, pattern("C5").graph, steiner(7).complement()):
+        g, claims = blow_up(base, 2)
+        base_edges = set(oracles.triples_of(base))
+
+        def rule(p):
+            return p[0] != p[1] if p[2] == APEX else len(set(p)) < 3 or p in base_edges
+
+        assert set(oracles.triples_of(g)) == oracles.labelled_triples(_labels(claims), rule)

@@ -17,6 +17,7 @@ from h3cover import (
     triple_unrank,
 )
 
+import h3cover.core as core
 import oracles
 
 
@@ -41,6 +42,21 @@ def test_rank_unrank_roundtrip(r):
     a, b, c = triple_unrank(r)
     assert a < b < c
     assert triple_rank(a, b, c) == r
+
+
+@given(st.integers(min_value=3, max_value=5000).flatmap(
+    lambda c: st.tuples(st.integers(0, c - 2), st.just(c)).flatmap(
+        lambda bc: st.tuples(st.integers(0, bc[0]), st.just(bc[0] + 1), st.just(bc[1])))))
+def test_unrank_large_triples(t):
+    a, b, c = t
+    assert triple_unrank(triple_rank(a, b, c)) == (a, b, c)
+
+
+def test_unrank_block_boundaries():
+    # the first and last rank with each largest vertex c
+    for c in range(2, 3000):
+        assert triple_unrank(comb(c, 3)) == (0, 1, c)
+        assert triple_unrank(comb(c + 1, 3) - 1) == (c - 2, c - 1, c)
 
 
 def test_ranks_enumerate_all_triples():
@@ -102,6 +118,14 @@ def test_codegree_f1_11():
 def test_codegree_empty_graph():
     g = build(5, [])
     assert g.codegree(0, 4) == 0
+
+
+def test_pair_masks_built_in_blocks(monkeypatch):
+    g, _ = f1(13)
+    whole = [g.pair_mask(u, v) for u, v in combinations(range(13), 2)]
+    monkeypatch.setattr(core, "_MASK_BLOCK_BYTES", 40)  # three pairs' rows per block
+    blocked = Hypergraph3(13, g.bits)
+    assert [blocked.pair_mask(u, v) for u, v in combinations(range(13), 2)] == whole
 
 
 def test_codegree_errors():
@@ -258,6 +282,27 @@ def test_loads_rejects_bad_input():
         loads_h3("4 2\n0 1 2\n")  # promised 2 edges, gave 1
     with pytest.raises(ValueError):
         loads_h3("3 1\n0 1 1\n")
+    with pytest.raises(ValueError):
+        loads_h3("4 1\n0 1 2 3\n")  # four vertices on an edge line
+    with pytest.raises(ValueError):
+        loads_h3("4 2\n0 1\n1 2 3 0\n")  # token count right, lines wrong
+    with pytest.raises(ValueError):
+        loads_h3("4 1\n0 1 x\n")
+
+
+def test_loads_rejects_duplicate_edge_lines():
+    with pytest.raises(ValueError, match="0 1 2 is listed twice"):
+        loads_h3("12 2\n0 1 2\n0 1 2\n")
+    with pytest.raises(ValueError, match="listed twice"):
+        loads_h3("5 3\n0 1 2\n1 3 4\n2 0 1\n")  # the same triple in another order
+    # build() and from_triples keep deduplicating
+    assert build(12, [(0, 1, 2), (0, 1, 2)]).num_edges == 1
+
+
+def test_loads_blank_and_commented_lines():
+    g = loads_h3("\n# leading\n 5 2 # header\n\n 3 4 2 \n\t\n0 1 2#x\n  \n")
+    assert list(g.edges()) == [(0, 1, 2), (2, 3, 4)]
+    assert loads_h3("6 0\n  \n") == Hypergraph3(6, 0)
 
 
 # -- property tests ------------------------------------------------------------
@@ -308,6 +353,13 @@ def test_canonical_key_permutation_invariant(g, rnd):
     assert edit_distance(g, relabeled) == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=6))
+def test_canonical_key_is_least_relabeled_bitmap(g):
+    width = (comb(g.n, 3) + 7) // 8
+    assert canonical_key(g) == bytes([g.n]) + oracles.canonical_bitmap(g).to_bytes(width, "big")
+
+
 @settings(max_examples=30, deadline=None)
 @given(graphs(max_n=5), graphs(max_n=5))
 def test_edit_zero_iff_keys_equal(g, h):
@@ -327,3 +379,55 @@ def test_serialization_roundtrip_property(g):
 @given(graphs())
 def test_min_codegree_matches_oracle(g):
     assert g.min_codegree() == oracles.min_codegree(g)
+
+
+# -- fast paths against the oracles ----------------------------------------------
+
+
+def bitmaps(max_n=10):
+    return st.integers(min_value=0, max_value=max_n).flatmap(
+        lambda n: st.builds(
+            Hypergraph3,
+            st.just(n),
+            st.integers(min_value=0, max_value=max(0, (1 << comb(n, 3)) - 1)),
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(bitmaps())
+def test_decoded_views_match_oracles(g):
+    triples = oracles.triples_of(g)
+    assert list(g.edges()) == triples
+    assert g.edge_array().tolist() == [list(t) for t in triples]
+    edge_set = set(triples)
+    for t in combinations(range(g.n), 3):
+        assert g.contains(*t) == (t in edge_set)
+        assert g.contains(t[2], t[0], t[1]) == (t in edge_set)
+        assert triple_unrank(triple_rank(*t)) == t
+    for u, v in combinations(range(g.n), 2):
+        common = [w for w in range(g.n) if w not in (u, v) and tuple(sorted((u, v, w))) in edge_set]
+        mask = g.pair_mask(u, v)
+        assert type(mask) is int
+        assert mask == sum(1 << w for w in common)
+        assert g.codegree(u, v) == oracles.codegree(g, u, v)
+    assert g.min_codegree() == oracles.min_codegree(g)
+    for x in range(g.n):
+        link = [tuple(w for w in t if w != x) for t in triples if x in t]
+        link.sort(key=lambda p: pair_rank(*p))
+        assert list(g.link_graph(x).pairs()) == link
+    assert Hypergraph3.from_triples(g.n, g.edges()) == g
+    text = dumps_h3(g, "text")
+    assert text == f"{g.n} {len(triples)}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in triples)
+    assert loads_h3(text) == g
+    assert loads_h3(dumps_h3(g, "hex")) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="0123456789 \t\n#-x", max_size=60))
+def test_loads_returns_a_graph_or_raises_value_error(text):
+    try:
+        g = loads_h3(text)
+    except ValueError:
+        return
+    assert loads_h3(dumps_h3(g)) == g
