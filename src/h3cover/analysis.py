@@ -2,13 +2,11 @@
 classification, and partition recovery.
 
 ``c2_exact`` computes, by exhaustion, the largest minimum codegree among
-n-vertex hosts in which some vertex lies in no copy of the pattern.  Two
-engines share the contract: a vectorized full scan of all edge bitmaps
-(n <= 6) and a depth-first search over bitmap prefixes with per-pair
-counters and descending-target pruning (n <= 7, budget-bounded).  Reported
-values and witnesses are identical across engines, worker counts, and
-pruning toggles; witnesses are the numerically least edge bitmap among
-optimal ones.
+n-vertex hosts in which some vertex lies in no copy of the pattern.  One
+engine serves every n <= 7: a depth-first search over edge bitmap prefixes
+with per-pair codegree counters, run for descending targets and bounded by
+an optional time budget.  The witness is the numerically least edge bitmap
+among optimal hosts.
 """
 
 from __future__ import annotations
@@ -16,13 +14,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .core import Hypergraph3, canonical_key, triple_rank, triple_table, pair_rank
+from .core import Hypergraph3, triple_table, pair_rank
 from .constructions import ConstructionClaims, Tripartition
 from .patterns import Pattern, embed_covering, greedy_cover_bound, uncovered_vertices
 
@@ -192,90 +190,8 @@ class SearchReport:
     uncovered_vertex: Optional[int]
     graphs_scanned: int
     exhaustive: bool
-    engine: str
     wall_ms: Optional[float] = None
     note: Optional[str] = None
-
-
-def _cover_masks(n: int, pat: Pattern) -> list[list[int]]:
-    # masks[x]: every edge bitmap whose presence puts a pattern copy through x
-    edge_list = pat.edge_list()
-    masks: list[set[int]] = [set() for _ in range(n)]
-    for img in permutations(range(n), pat.f):
-        m = 0
-        for e in edge_list:
-            m |= 1 << triple_rank(img[e[0]], img[e[1]], img[e[2]])
-        for v in img:
-            masks[v].add(m)
-    return [sorted(s) for s in masks]
-
-
-def _pair_triple_masks(n: int) -> list[int]:
-    masks = [0] * comb(n, 2)
-    for r, t in enumerate(triple_table(n).tolist()):
-        for u, v in combinations(t, 2):
-            masks[pair_rank(u, v)] |= 1 << r
-    return masks
-
-
-def _scan_chunk(lo: int, hi: int, n: int, pair_masks, cover_masks):
-    vals = np.arange(lo, hi, dtype=np.int64)
-    mincod = np.full(vals.shape, 255, dtype=np.uint8)
-    for pm in pair_masks:
-        np.minimum(mincod, np.bitwise_count(vals & pm), out=mincod)
-    uncovered = np.zeros(vals.shape, dtype=bool)
-    for x in range(n):
-        cov = np.zeros(vals.shape, dtype=bool)
-        for m in cover_masks[x]:
-            cov |= (vals & m) == m
-        uncovered |= ~cov
-    if not uncovered.any():
-        return None
-    best = int(mincod[uncovered].max())
-    first = int(np.nonzero(uncovered & (mincod == best))[0][0])
-    return best, lo + first
-
-
-def _scan_engine(pat: Pattern, n: int, workers: int, deadline: Optional[float]):
-    m = comb(n, 3)
-    total = 1 << m
-    pair_masks = _pair_triple_masks(n)
-    cover_masks = _cover_masks(n, pat)
-    chunk = min(total, 1 << 18)
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-
-    results = []
-    scanned = 0
-    timed_out = False
-    if workers > 1 and len(ranges) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_scan_chunk, lo, hi, n, pair_masks, cover_masks) for lo, hi in ranges]
-            for (lo, hi), fut in zip(ranges, futs):
-                if deadline is not None and time.monotonic() > deadline:
-                    timed_out = True
-                    for rest in futs:
-                        rest.cancel()
-                    break
-                results.append(fut.result())
-                scanned += hi - lo
-    else:
-        for lo, hi in ranges:
-            if deadline is not None and time.monotonic() > deadline:
-                timed_out = True
-                break
-            results.append(_scan_chunk(lo, hi, n, pair_masks, cover_masks))
-            scanned += hi - lo
-
-    best_val, best_bits = None, None
-    for res in results:
-        if res is None:
-            continue
-        val, bits = res
-        if best_val is None or val > best_val or (val == best_val and bits < best_bits):
-            best_val, best_bits = val, bits
-    return best_val, best_bits, scanned, not timed_out
 
 
 class _BudgetExceeded(Exception):
@@ -297,7 +213,7 @@ def _first_uncovered(g: Hypergraph3, pat: Pattern) -> Optional[int]:
     return None
 
 
-def _dfs_feasible(pat, n, target, deadline, iso_cache, stats):
+def _dfs_feasible(pat, n, target, deadline, stats):
     # visits exactly the bitmaps whose every pair reaches the target codegree,
     # in increasing numeric order; returns the first with an uncovered vertex
     m = comb(n, 3)
@@ -307,20 +223,12 @@ def _dfs_feasible(pat, n, target, deadline, iso_cache, stats):
 
     def rec(rank: int, bits: int) -> Optional[int]:
         stats.nodes += 1
-        if deadline is not None and stats.nodes % 4096 == 0 and time.monotonic() > deadline:
+        # one leaf check can take milliseconds, so the clock is read at every leaf
+        if deadline is not None and (rank < 0 or stats.nodes % 4096 == 0) and time.monotonic() > deadline:
             raise _BudgetExceeded
         if rank < 0:
             stats.leaves += 1
-            g = Hypergraph3(n, bits)
-            if iso_cache is None:
-                feasible = _first_uncovered(g, pat) is not None
-            else:
-                key = canonical_key(g)
-                feasible = iso_cache.get(key)
-                if feasible is None:
-                    feasible = _first_uncovered(g, pat) is not None
-                    iso_cache[key] = feasible
-            return bits if feasible else None
+            return bits if _first_uncovered(Hypergraph3(n, bits), pat) is not None else None
         ps = pair_ids[rank]
         ok = True
         for p in ps:
@@ -343,12 +251,11 @@ def _dfs_feasible(pat, n, target, deadline, iso_cache, stats):
     return rec(m - 1, 0)
 
 
-def _dfs_engine(pat: Pattern, n: int, prune_iso: bool, deadline: Optional[float]):
-    iso_cache: Optional[dict] = {} if prune_iso else None
+def _dfs_engine(pat: Pattern, n: int, deadline: Optional[float]):
     stats = _DfsStats()
     for target in range(n - 2, -1, -1):
         try:
-            bits = _dfs_feasible(pat, n, target, deadline, iso_cache, stats)
+            bits = _dfs_feasible(pat, n, target, deadline, stats)
         except _BudgetExceeded:
             note = f"budget exhausted while testing target {target}; value <= {target}"
             return None, None, stats.leaves, False, note
@@ -357,42 +264,26 @@ def _dfs_engine(pat: Pattern, n: int, prune_iso: bool, deadline: Optional[float]
     raise RuntimeError("descent fell through; the empty host is always feasible")
 
 
-def c2_exact(
-    pat: Pattern,
-    n: int,
-    budget_seconds: Optional[float] = None,
-    workers: int = 1,
-    prune_iso: Optional[bool] = None,
-    engine: str = "auto",
-) -> SearchReport:
-    """Exact covering codegree threshold at one n, by exhaustion.
+def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> SearchReport:
+    """Exact covering codegree threshold at one n, by exhaustion (f <= n <= 7).
 
-    Raw scan mode handles hosts whose bitmap fits in 20 bits (n <= 6); n = 7
-    runs the pruned depth-first engine, subject to the budget.  A budget
-    overrun yields a report flagged non-exhaustive, never presented as exact.
+    For t = n - 2, n - 3, ... a pruned depth-first search visits the hosts of
+    minimum codegree >= t in increasing bitmap order; the first t with a host
+    that leaves a vertex uncovered is the value, and that host (the least
+    optimal bitmap) the witness.  ``graphs_scanned`` counts the hosts checked.
+    A budget overrun yields a report flagged non-exhaustive with no value,
+    never presented as exact.
     """
     if n < pat.f:
         raise ValueError(f"need n >= {pat.f}")
-    if engine == "auto":
-        engine = "scan" if comb(n, 3) <= 20 else "dfs"
-    if engine == "scan" and comb(n, 3) > 20:
-        raise ValueError("scan engine handles at most 20 triples (n <= 6)")
-    if engine == "dfs" and n > 7:
-        raise ValueError("dfs engine handles n <= 7")
-    if engine not in ("scan", "dfs"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if prune_iso is None:
-        prune_iso = engine == "dfs" and n == 7
+    if n > 7:
+        raise ValueError("exact search handles n <= 7")
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
 
     t0 = time.monotonic()
     deadline = t0 + budget_seconds if budget_seconds is not None else None
-    note = None
-    if engine == "scan":
-        value, bits, scanned, exhaustive = _scan_engine(pat, n, workers, deadline)
-        if not exhaustive:
-            note = "budget exhausted during scan"
-    else:
-        value, bits, scanned, exhaustive, note = _dfs_engine(pat, n, prune_iso, deadline)
+    value, bits, scanned, exhaustive, note = _dfs_engine(pat, n, deadline)
     wall_ms = (time.monotonic() - t0) * 1000.0
 
     witness = None
@@ -406,12 +297,11 @@ def c2_exact(
     return SearchReport(
         pattern=pat.name,
         n=n,
-        value=value if exhaustive else (value if bits is not None else None),
+        value=value,
         witness=witness,
         uncovered_vertex=uncovered_vertex,
         graphs_scanned=scanned,
         exhaustive=exhaustive,
-        engine=engine,
         wall_ms=wall_ms,
         note=note,
     )

@@ -144,14 +144,7 @@ def cmd_cover(args) -> int:
 
 def cmd_search(args) -> int:
     pat = pattern(args.pattern)
-    rep = c2_exact(
-        pat,
-        args.n,
-        budget_seconds=args.budget_seconds,
-        workers=args.workers,
-        prune_iso=args.prune_iso if args.prune_iso else None,
-        engine=args.engine,
-    )
+    rep = c2_exact(pat, args.n, budget_seconds=args.budget_seconds)
     payload = {
         "schema": SCHEMA,
         "command": "search",
@@ -159,9 +152,6 @@ def cmd_search(args) -> int:
         "n": rep.n,
         "value": rep.value,
         "exhaustive": rep.exhaustive,
-        "engine": rep.engine,
-        "workers": args.workers,
-        "prune_iso": bool(args.prune_iso),
         "graphs_scanned": rep.graphs_scanned,
         "witness": {"n": rep.witness.n, "edges": [list(e) for e in rep.witness.edges()]}
         if rep.witness
@@ -172,7 +162,7 @@ def cmd_search(args) -> int:
     lines = [
         f"c2({rep.pattern}, n={rep.n}) = {rep.value}"
         + ("" if rep.exhaustive else "  [PARTIAL: not exhaustive]"),
-        f"graphs scanned: {rep.graphs_scanned}  engine: {rep.engine}  wall: {rep.wall_ms:.1f} ms",
+        f"graphs scanned: {rep.graphs_scanned}  wall: {rep.wall_ms:.1f} ms",
     ]
     _emit(payload, args.format, lines)
     return 0 if rep.exhaustive else 4
@@ -281,10 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exact threshold by exhaustion at tiny n")
     p.add_argument("--pattern", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--prune-iso", action="store_true")
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--engine", choices=("auto", "scan", "dfs"), default="auto")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_search)
 

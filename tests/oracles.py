@@ -92,6 +92,19 @@ def c2_brute(pat, n, hypergraph_cls):
     return best_val, best_bits
 
 
+def search_leaves(n, value, witness_bits, hypergraph_cls):
+    """Hosts a descending-target exact search checks before it stops.
+
+    For each target above the value, every host of min codegree >= target;
+    then the hosts of min codegree >= value up to and including the witness.
+    """
+    from math import comb
+
+    mins = [min_codegree(hypergraph_cls(n, bits)) for bits in range(1 << comb(n, 3))]
+    above = sum(sum(1 for d in mins if d >= t) for t in range(value + 1, n - 1))
+    return above + sum(1 for d in mins[: witness_bits + 1] if d >= value)
+
+
 def canonical_bitmap(g):
     """Least edge bitmap over all vertex relabelings, by explicit permutation."""
     edges = triples_of(g)

@@ -55,7 +55,7 @@ def test_criterion_1_exhaustive_exactness_k4():
     budgets = {4: 1.0, 5: 1.0, 6: 300.0}
     for n, want in expected.items():
         t0 = time.perf_counter()
-        rep = c2_exact(k4, n, workers=8 if n == 6 else 1)
+        rep = c2_exact(k4, n)
         elapsed = time.perf_counter() - t0
         if rep.value != want:
             failures.append(f"c2(K4,{n}) = {rep.value}, expected {want}")

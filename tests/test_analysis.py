@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -133,6 +135,7 @@ def test_c2_exact_k4_4_matches_brute_force():
     assert rep.value == val == 1
     assert rep.witness.bits == bits
     assert rep.exhaustive
+    assert rep.graphs_scanned == oracles.search_leaves(4, val, bits, Hypergraph3) == 2
 
 
 def test_c2_exact_k4_5_matches_brute_force():
@@ -140,23 +143,49 @@ def test_c2_exact_k4_5_matches_brute_force():
     val, bits = oracles.c2_brute(pattern("K4"), 5, Hypergraph3)
     assert rep.value == val == 2
     assert rep.witness.bits == bits
+    assert rep.graphs_scanned == oracles.search_leaves(5, val, bits, Hypergraph3) == 2
 
 
-def test_c2_exact_c5_matches_brute_force():
-    rep = c2_exact(pattern("C5"), 5)
-    val, bits = oracles.c2_brute(pattern("C5"), 5, Hypergraph3)
+@pytest.mark.parametrize("name", ["C5", "K4-", "K5", "K5-", "F32"])
+def test_c2_exact_n5_matches_brute_force(name):
+    pat = pattern(name)
+    rep = c2_exact(pat, 5)
+    val, bits = oracles.c2_brute(pat, 5, Hypergraph3)
     assert rep.value == val
     assert rep.witness.bits == bits
+    assert rep.graphs_scanned == oracles.search_leaves(5, val, bits, Hypergraph3)
 
 
-def test_c2_exact_determinism_across_configs():
-    base = c2_exact(pattern("K4"), 5)
-    for workers in (2, 8):
-        rep = c2_exact(pattern("K4"), 5, workers=workers)
-        assert (rep.value, rep.witness.bits) == (base.value, base.witness.bits)
-    for prune in (False, True):
-        rep = c2_exact(pattern("K4"), 5, engine="dfs", prune_iso=prune)
-        assert (rep.value, rep.witness.bits) == (base.value, base.witness.bits)
+# (pattern, n, value, witness bitmap, uncovered vertex), each row agreed on by
+# the pruned DFS and a full scan of every edge bitmap (n <= 6) or by the DFS
+# with and without an isomorphism cache (n = 7)
+EXACT_TABLE = [
+    ("K4", 4, 1, 7, 0),
+    ("K4", 5, 2, 495, 4),
+    ("K4", 6, 2, 227823, 4),
+    ("K4", 7, 3, 8045192191, 5),
+    ("K4-", 4, 0, 0, 0),
+    ("K4-", 5, 1, 184, 0),
+    ("K4-", 6, 2, 242467, 0),
+    ("K5", 5, 2, 495, 0),
+    ("K5", 6, 3, 520157, 0),
+    ("K5", 7, 4, 17145247551, 0),
+    ("K5-", 5, 2, 495, 0),
+    ("K5-", 6, 3, 520157, 0),
+    ("K5-", 7, 4, 17145247551, 0),
+    ("C5", 5, 1, 183, 0),
+    ("C5", 6, 2, 241500, 0),
+    ("C6", 6, 2, 228023, 0),
+    ("F32", 5, 1, 183, 0),
+    ("F32", 6, 2, 242467, 0),
+]
+
+
+@pytest.mark.parametrize("name,n,value,bits,vertex", EXACT_TABLE)
+def test_c2_exact_table(name, n, value, bits, vertex):
+    rep = c2_exact(pattern(name), n)
+    assert rep.exhaustive
+    assert (rep.value, rep.witness.bits, rep.uncovered_vertex) == (value, bits, vertex)
 
 
 def test_c2_exact_within_theorem_bracket():
@@ -173,11 +202,26 @@ def test_c2_exact_budget_yields_partial():
     assert rep.value is None
 
 
+@pytest.mark.parametrize("name", ["K4", "K4-", "C5"])
+def test_c2_exact_budget_overrun_is_bounded(name):
+    t0 = time.perf_counter()
+    rep = c2_exact(pattern(name), 7, budget_seconds=0.05)
+    elapsed = time.perf_counter() - t0
+    assert not rep.exhaustive
+    assert elapsed - 0.05 < 0.05
+
+
 def test_c2_exact_rejects_small_n():
     with pytest.raises(ValueError):
         c2_exact(pattern("K4"), 3)
     with pytest.raises(ValueError):
-        c2_exact(pattern("K4"), 7, engine="scan")
+        c2_exact(pattern("K4"), 8)
+
+
+@pytest.mark.parametrize("budget", [-1, float("nan")])
+def test_c2_exact_rejects_negative_budget(budget):
+    with pytest.raises(ValueError):
+        c2_exact(pattern("K4"), 5, budget_seconds=budget)
 
 
 def test_witness_reverified_on_emission():

@@ -1,7 +1,9 @@
 import json
 
-from h3cover import load_h3, loads_h3, dumps_h3
+from h3cover import Hypergraph3, load_h3, loads_h3, dumps_h3, pattern
 from h3cover.cli import main
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -70,7 +72,12 @@ def test_search_small(capsys):
     payload = json.loads(stdout)
     assert payload["value"] == 1
     assert payload["exhaustive"] is True
-    assert payload["graphs_scanned"] == 16
+    val, bits = oracles.c2_brute(pattern("K4"), 4, Hypergraph3)
+    assert payload["graphs_scanned"] == oracles.search_leaves(4, val, bits, Hypergraph3)
+    assert set(payload) == {
+        "schema", "command", "pattern", "n", "value", "exhaustive", "graphs_scanned",
+        "witness", "uncovered_vertex", "note",
+    }
 
 
 def test_search_budget_exit_code(capsys):
@@ -80,6 +87,15 @@ def test_search_budget_exit_code(capsys):
     assert code == 4
     payload = json.loads(stdout)
     assert payload["exhaustive"] is False
+
+
+def test_search_negative_budget_exits_2(capsys):
+    code, stdout, err = run(
+        capsys, "search", "--pattern", "K4", "--n", "5", "--budget-seconds", "-1"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bounds_table(capsys):
@@ -114,8 +130,8 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert first == second
     assert bytes_a == bytes_b
 
-    _, s1, _ = run(capsys, "search", "--pattern", "K4", "--n", "5", "--workers", "2")
-    _, s2, _ = run(capsys, "search", "--pattern", "K4", "--n", "5", "--workers", "2")
+    _, s1, _ = run(capsys, "search", "--pattern", "K4", "--n", "5")
+    _, s2, _ = run(capsys, "search", "--pattern", "K4", "--n", "5")
     assert s1 == s2
 
 
