@@ -206,13 +206,6 @@ class _DfsStats:
         self.leaves = 0
 
 
-def _first_uncovered(g: Hypergraph3, pat: Pattern) -> Optional[int]:
-    for x in range(g.n):
-        if embed_covering(g, x, pat) is None:
-            return x
-    return None
-
-
 def _dfs_feasible(pat, n, target, deadline, stats):
     # visits exactly the bitmaps whose every pair reaches the target codegree,
     # in increasing numeric order; returns the first with an uncovered vertex
@@ -228,7 +221,8 @@ def _dfs_feasible(pat, n, target, deadline, stats):
             raise _BudgetExceeded
         if rank < 0:
             stats.leaves += 1
-            return bits if _first_uncovered(Hypergraph3(n, bits), pat) is not None else None
+            g = Hypergraph3(n, bits)
+            return bits if any(embed_covering(g, x, pat) is None for x in range(n)) else None
         ps = pair_ids[rank]
         ok = True
         for p in ps:
@@ -370,7 +364,7 @@ def recover_partition(
         hits = [
             i
             for i, label in enumerate(("S1a", "S1b", "S1c"))
-            if g.pair_mask(x, y) & masks[label] == 0
+            if link.adjacency_mask(y) & masks[label] == 0
         ]
         if len(hits) != 1:
             return None

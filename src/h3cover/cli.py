@@ -145,6 +145,8 @@ def cmd_cover(args) -> int:
 def cmd_search(args) -> int:
     pat = pattern(args.pattern)
     rep = c2_exact(pat, args.n, budget_seconds=args.budget_seconds)
+    # how far a truncated search got depends on the host's speed, so its JSON
+    # leaves out the leaf count and the target (table mode shows both)
     payload = {
         "schema": SCHEMA,
         "command": "search",
@@ -152,16 +154,16 @@ def cmd_search(args) -> int:
         "n": rep.n,
         "value": rep.value,
         "exhaustive": rep.exhaustive,
-        "graphs_scanned": rep.graphs_scanned,
+        "graphs_scanned": rep.graphs_scanned if rep.exhaustive else None,
         "witness": {"n": rep.witness.n, "edges": [list(e) for e in rep.witness.edges()]}
         if rep.witness
         else None,
         "uncovered_vertex": rep.uncovered_vertex,
-        "note": rep.note,
+        "note": rep.note if rep.exhaustive else "budget exhausted before the search finished",
     }
     lines = [
         f"c2({rep.pattern}, n={rep.n}) = {rep.value}"
-        + ("" if rep.exhaustive else "  [PARTIAL: not exhaustive]"),
+        + ("" if rep.exhaustive else f"  [PARTIAL: {rep.note}]"),
         f"graphs scanned: {rep.graphs_scanned}  wall: {rep.wall_ms:.1f} ms",
     ]
     _emit(payload, args.format, lines)
@@ -170,12 +172,10 @@ def cmd_search(args) -> int:
 
 def cmd_bounds(args) -> int:
     pat = pattern(args.pattern)
-    span = args.n
-    if ".." in span:
-        lo_s, hi_s = span.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(span)
+    lo_s, sep, hi_s = args.n.partition("..")
+    lo, hi = int(lo_s), int(hi_s if sep else lo_s)
+    if lo > hi:
+        raise ValueError(f"empty range {args.n!r}: the first n exceeds the last")
     rows = []
     for n in range(lo, hi + 1):
         br = c2_bounds(pat, n)
@@ -197,8 +197,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    try:
+        delta = Fraction(args.delta)
+    except ZeroDivisionError:
+        raise ValueError(f"--delta {args.delta!r} has a zero denominator") from None
     g = load_h3(args.input)
-    rec = recover_partition(g, args.apex, Fraction(args.delta))
+    rec = recover_partition(g, args.apex, delta)
     if rec is None:
         payload = {
             "schema": SCHEMA,

@@ -13,7 +13,7 @@ in tests and serializations are stable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterable, Optional
 
@@ -222,22 +222,14 @@ def f1(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
 
     The apex link is every cross-part pair; away from the apex every triple
     touching at most two parts is an edge.  Minimum codegree floor((2n-5)/3),
-    attained by cross pairs into the two smallest parts.
+    attained by cross pairs into the two smallest parts.  This is the f1
+    variant of case n mod 3 with the empty pair set.
     """
     if n < 4:
         raise ValueError("f1 needs n >= 4")
-    apex = n - 1
-    parts = _contiguous_parts(_ascending_sizes(n - 1, 3))
-    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n - 1) + [3], _F1_LABELS))
-    claims = ConstructionClaims(
-        name="f1",
-        n=n,
-        min_codegree=(2 * n - 5) // 3,
-        uncovered=(apex,),
-        partition=Tripartition(apex=apex, parts=parts),
-        pattern_hint="K4",
-    )
-    return g, claims
+    case = str(n % 3)
+    g, claims = f1_variant(case, AdmissiblePairSet(case, frozenset()), n)
+    return g, replace(claims, name="f1", params=())
 
 
 def _variant_partition(case: str, n: int) -> Tripartition:

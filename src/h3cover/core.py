@@ -10,9 +10,15 @@ C(n,3)-1.  That integer is the canonical, hashable value; graphs are
 immutable and safe to share across threads.  One decode path serves every
 view: a graph turns its set bits (the edge ranks) into an int16 array of
 triples once, lazily, by binary search in the binomial columns C(v,2), C(v,3)
-(``edge_array``).  Pair masks, ``min_codegree``, link graphs and
-``dumps_h3`` are numpy passes over that array; ``contains`` reads one bit.
-``from_triples`` and ``loads_h3`` rank whole vertex arrays at once.
+(``edge_array``).  Degrees, ``min_codegree`` and ``dumps_h3`` are numpy
+passes over that array; ``contains`` reads one bit.  ``from_triples`` and
+``loads_h3`` rank whole vertex arrays at once.
+
+Every pair query reads one table, built lazily from the same array
+(``pair_masks``): entry [u][v] is the vertex bitmap of the joint
+neighbourhood of u and v.  ``pair_mask``, ``codegree`` and ``neighborhood``
+read one entry, a ``LinkGraph`` is one row, and the embedding searches of
+``patterns`` index the table directly.
 
 Two interchangeable text encodings are supported by ``dumps_h3``/``loads_h3``:
 
@@ -59,7 +65,7 @@ EXACT_MODE_CAP = 8
 # edges() and dumps_h3 turn this many rows of the edge array into Python objects at a time
 _CHUNK = 4096
 
-# pair_mask's boolean (pair, vertex) matrix is built in blocks of at most this many bytes
+# the pair table's boolean (pair, vertex) matrix is built in blocks of at most this many bytes
 _MASK_BLOCK_BYTES = 1 << 24
 
 
@@ -106,14 +112,14 @@ def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (v * (v - 1) // 2).astype(np.int32), v * (v - 1) * (v - 2) // 6
 
 
-def _unrank(n: int, ranks: np.ndarray, k: int) -> np.ndarray:
-    """(len(ranks), k) int16 array of the sorted pairs (k = 2) or triples (k = 3)
-    with the given colex ranks: the largest vertex is found in the binomial
-    column by binary search, the rest of the rank ranks the smaller ones."""
+def _unrank(n: int, ranks: np.ndarray) -> np.ndarray:
+    """(len(ranks), 3) int16 array of the sorted triples with the given colex
+    ranks: the largest vertex is found in the binomial column by binary
+    search, the rest of the rank ranks the smaller two the same way."""
     c2, c3 = _binomials(n)
-    out = np.empty((len(ranks), k), dtype=np.int16)
+    out = np.empty((len(ranks), 3), dtype=np.int16)
     rest = ranks.astype(np.int64)
-    for col, binom in ((2, c3), (1, c2))[3 - k:]:
+    for col, binom in ((2, c3), (1, c2)):
         out[:, col] = np.searchsorted(binom, rest, side="right") - 1
         rest -= binom[out[:, col]]
     out[:, 0] = rest
@@ -122,12 +128,7 @@ def _unrank(n: int, ranks: np.ndarray, k: int) -> np.ndarray:
 
 def triple_table(n: int) -> np.ndarray:
     """Fresh (C(n,3), 3) int16 array whose row r is the sorted triple of colex rank r."""
-    return _unrank(n, np.arange(comb(n, 3)), 3)
-
-
-def _pair_ranks(n: int, t: np.ndarray, i: int, j: int) -> np.ndarray:
-    """int32 colex ranks of the pairs formed by columns i < j of a sorted vertex array."""
-    return _binomials(n)[0][t[:, j]] + t[:, i]
+    return _unrank(n, np.arange(comb(n, 3)))
 
 
 def _rank_rows(n: int, t: np.ndarray) -> np.ndarray:
@@ -157,12 +158,6 @@ def _set_bits(raw: bytes) -> np.ndarray:
     return nonzero[byte] * 8 + bit
 
 
-def _rows_to_ints(matrix: np.ndarray) -> list[int]:
-    """Row i of a boolean matrix as the int with bit j set iff matrix[i, j]."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 class Hypergraph3:
     """An immutable 3-graph: a vertex count and an edge bitmap."""
 
@@ -177,7 +172,7 @@ class Hypergraph3:
         self.bits = bits
         self._raw: Optional[bytes] = None
         self._triples: Optional[np.ndarray] = None
-        self._pair_masks: Optional[list[int]] = None
+        self._pair_masks: Optional[tuple[tuple[int, ...], ...]] = None
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[Sequence[int]]) -> "Hypergraph3":
@@ -204,7 +199,7 @@ class Hypergraph3:
         """The edges as a read-only (m, 3) int16 array of sorted triples, in colex order."""
         if self._triples is None:
             # the one decode: the bitmap's set bits are the edge ranks
-            self._triples = _unrank(self.n, _set_bits(self._bitmap_bytes()), 3)
+            self._triples = _unrank(self.n, _set_bits(self._bitmap_bytes()))
             self._triples.flags.writeable = False
         return self._triples
 
@@ -228,29 +223,36 @@ class Hypergraph3:
             yield from map(tuple, t[lo:lo + _CHUNK].tolist())
 
     def _pair_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        # per edge and pair in it: the pair's rank, and the edge's third vertex
-        t = self.edge_array()
-        keys = np.concatenate([_pair_ranks(self.n, t, i, j) for i, j in ((0, 1), (0, 2), (1, 2))])
+        # per edge and pair in it: the pair's colex rank, and the edge's third vertex
+        t, c2 = self.edge_array(), _binomials(self.n)[0]
+        keys = np.concatenate([c2[t[:, j]] + t[:, i] for i, j in ((0, 1), (0, 2), (1, 2))])
         return keys, np.concatenate([t[:, 2], t[:, 1], t[:, 0]])
 
-    def _masks(self) -> list[int]:
-        # pair-rank indexed vertex bitmaps: bit w of entry {u,v} <=> uvw is an edge,
-        # packed from blocks of rows of the boolean (pair, vertex) matrix
+    def pair_masks(self) -> tuple[tuple[int, ...], ...]:
+        """The pair table: entry [u][v] is the vertex bitmap of the w such that
+        uvw is an edge, the same int object as [v][u]; entry [u][u] is 0."""
         if self._pair_masks is None:
+            # pair-rank indexed bitmaps, packed from blocks of rows of the boolean
+            # (pair, vertex) matrix, then a 0 at rank C(n,2) for the diagonal
             n, (keys, third) = self.n, self._pair_keys()
             rows, masks = max(1, _MASK_BLOCK_BYTES // max(n, 1)), []
             for lo in range(0, comb(n, 2), rows):
                 block = np.zeros((min(rows, comb(n, 2) - lo), n), dtype=bool)
                 inside = (keys >= lo) & (keys < lo + rows)
                 block[keys[inside] - lo, third[inside]] = True
-                masks += _rows_to_ints(block)
-            self._pair_masks = masks
+                packed = np.packbits(block, axis=1, bitorder="little")
+                masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
+            masks.append(0)
+            v = np.arange(n)
+            rank = _binomials(n)[0][np.maximum.outer(v, v)] + np.minimum.outer(v, v)
+            np.fill_diagonal(rank, comb(n, 2))
+            self._pair_masks = tuple(tuple(map(masks.__getitem__, row)) for row in rank.tolist())
         return self._pair_masks
 
     def pair_mask(self, u: int, v: int) -> int:
         """Vertex bitmap of the joint neighbourhood of the pair {u,v}."""
         self._check_pair(u, v)
-        return self._masks()[pair_rank(u, v)]
+        return self.pair_masks()[u][v]
 
     def codegree(self, u: int, v: int) -> int:
         """Number of edges containing both u and v."""
@@ -260,10 +262,13 @@ class Hypergraph3:
         """Sorted vertices w such that uvw is an edge."""
         return tuple(_iter_bits(self.pair_mask(u, v)))
 
+    def _degrees(self) -> np.ndarray:
+        return np.bincount(self.edge_array().ravel(), minlength=self.n)
+
     def degree(self, x: int) -> int:
         """Number of edges containing x."""
         self._check_vertex(x)
-        return sum(self.codegree(x, u) for u in range(self.n) if u != x) // 2
+        return int(self._degrees()[x])
 
     def min_codegree(self) -> int:
         """Minimum codegree over all pairs; 0 when there are no pairs."""
@@ -272,16 +277,11 @@ class Hypergraph3:
         return int(np.bincount(self._pair_keys()[0], minlength=comb(self.n, 2)).min())
 
     def min_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return min(self.degree(x) for x in range(self.n))
+        return int(self._degrees().min()) if self.n else 0
 
     def link_graph(self, x: int) -> "LinkGraph":
         self._check_vertex(x)
-        t = self.edge_array()
-        through_x = t[(t == x).any(axis=1)]
-        rest = through_x[through_x != x].reshape(-1, 2)
-        return LinkGraph(self.n, x, _bitmap(_pair_ranks(self.n, rest, 0, 1)))
+        return LinkGraph(x, self.pair_masks()[x])
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
         """True iff no triple inside the given vertex set is an edge."""
@@ -321,52 +321,46 @@ class Hypergraph3:
 
 
 class LinkGraph:
-    """The pairs uv with uvx an edge of the owning graph, as a pair bitmap."""
+    """The link of x: the pairs uv with uvx an edge of the owning graph.
 
-    __slots__ = ("n", "x", "bits", "_adj")
+    A view of row x of the owner's pair table, whose entry u is the bitmap of
+    u's neighbours in the link.
+    """
 
-    def __init__(self, n: int, x: int, bits: int = 0):
-        self.n = n
+    __slots__ = ("n", "x", "_row")
+
+    def __init__(self, x: int, row: tuple[int, ...]):
+        self.n = len(row)
         self.x = x
-        self.bits = bits
-        self._adj: Optional[list[int]] = None
+        self._row = row
 
     def contains(self, u: int, v: int) -> bool:
-        return (self.bits >> pair_rank(u, v)) & 1 == 1
-
-    def _pair_array(self) -> np.ndarray:
-        raw = self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little")
-        return _unrank(self.n, _set_bits(raw), 2)
+        if u == v or u < 0 or v < 0:
+            raise ValueError(f"not a pair of distinct vertices: {(u, v)}")
+        return u < self.n and self._row[u] >> v & 1 == 1
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        yield from map(tuple, self._pair_array().tolist())
-
-    def _adjacency(self) -> list[int]:
-        if self._adj is None:
-            p = self._pair_array()
-            adj = np.zeros((self.n, self.n), dtype=bool)
-            adj[p[:, 0], p[:, 1]] = adj[p[:, 1], p[:, 0]] = True
-            self._adj = _rows_to_ints(adj)
-        return self._adj
+        """The pairs u < v, in colex order (by v, then u)."""
+        for v, adj in enumerate(self._row):
+            for u in _iter_bits(adj & ((1 << v) - 1)):
+                yield u, v
 
     def adjacency_mask(self, u: int) -> int:
-        return self._adjacency()[u]
+        return self._row[u]
 
     def degree(self, u: int) -> int:
         """Neighbour count of u; equals the codegree of x and u in the owner."""
-        return self._adjacency()[u].bit_count()
+        return self._row[u].bit_count()
 
     @property
     def num_pairs(self) -> int:
-        return self.bits.bit_count()
+        return sum(adj.bit_count() for adj in self._row) // 2
 
     def first_triangle(self) -> Optional[tuple[int, int, int]]:
         """Lexicographically first (a,b,c) with all three pairs present."""
-        adj = self._adjacency()
+        adj = self._row
         for a in range(self.n):
-            for b in _iter_bits(adj[a]):
-                if b <= a:
-                    continue
+            for b in _iter_bits(adj[a] & -(1 << (a + 1))):
                 common = adj[a] & adj[b] & -(1 << (b + 1))
                 if common:
                     return a, b, (common & -common).bit_length() - 1

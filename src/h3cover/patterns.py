@@ -9,7 +9,10 @@ Embeddings are subgraph embeddings: an injective vertex map under which every
 pattern edge lands on a host edge.  ``embed_covering`` is exhaustive
 (backtracking with pair-neighbourhood pruning); ``greedy_embed`` follows the
 degeneracy ordering in a single forward pass with no backtracking, so a
-failed greedy run is not evidence that no embedding exists.
+failed greedy run is not evidence that no embedding exists.  Every search
+fetches the host's pair table (``Hypergraph3.pair_masks``) once per call; a
+position's candidates are the unused host vertices in the table entry of
+each already-mapped pattern pair that forms an edge with it.
 """
 
 from __future__ import annotations
@@ -156,24 +159,23 @@ def greedy_cover_bound(pat: Pattern, n: int) -> int:
 # -- backtracking embedding -------------------------------------------------
 
 
-def _backtrack(host: Hypergraph3, plan, images: list[int], used: int, pos: int) -> bool:
+def _candidates(rows, cons, images: list[int], free: int) -> int:
+    """The vertices of free that complete an edge with the images of every
+    constraint pair of one plan position, read from the host's pair table."""
+    for i, j in cons:
+        free &= rows[images[i]][images[j]]
+        if not free:
+            break
+    return free
+
+
+def _backtrack(rows, plan, images: list[int], free: int, pos: int) -> bool:
     if pos == len(plan):
         return True
-    _, cons = plan[pos]
-    if cons:
-        cand = (1 << host.n) - 1
-        for i, j in cons:
-            cand &= host.pair_mask(images[i], images[j])
-            if not cand:
-                return False
-        cand &= ~used
-    else:
-        cand = ((1 << host.n) - 1) & ~used
-    for v in _iter_bits(cand):
+    for v in _iter_bits(_candidates(rows, plan[pos][1], images, free)):
         images[pos] = v
-        if _backtrack(host, plan, images, used | (1 << v), pos + 1):
+        if _backtrack(rows, plan, images, free & ~(1 << v), pos + 1):
             return True
-    images[pos] = -1
     return False
 
 
@@ -187,11 +189,11 @@ def embed_covering(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int
         raise ValueError(f"vertex {x} out of range")
     if host.n < pat.f:
         return None
+    rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~(1 << x)
     for anchor in range(pat.f):
         plan = _anchored_plan(pat, (anchor,))
-        images = [-1] * pat.f
-        images[0] = x
-        if _backtrack(host, plan, images, 1 << x, 1):
+        images = [x] + [-1] * (pat.f - 1)
+        if _backtrack(rows, plan, images, free, 1):
             return {plan[i][0]: images[i] for i in range(pat.f)}
     return None
 
@@ -208,18 +210,15 @@ def greedy_embed(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int, 
     if host.n < pat.f:
         return None
     plan = _anchored_plan(pat, pat.ordering)
+    rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~(1 << x)
     images: list[int] = [x]
-    used = 1 << x
     for _, cons in plan[1:]:
-        cand = (1 << host.n) - 1
-        for i, j in cons:
-            cand &= host.pair_mask(images[i], images[j])
-        cand &= ~used
+        cand = _candidates(rows, cons, images, free)
         if not cand:
             return None
         pick = (cand & -cand).bit_length() - 1
         images.append(pick)
-        used |= 1 << pick
+        free &= ~(1 << pick)
     return {v: images[i] for i, (v, _) in enumerate(plan)}
 
 
@@ -235,14 +234,11 @@ def edge_extendable(host: Hypergraph3, e: Sequence[int], pat: Pattern) -> bool:
         raise ValueError(f"{(a, b, c)} is not an edge of the host")
     if host.n < pat.f:
         return False
-    for p, q, s in permutations(range(pat.f), 3):
-        plan = _anchored_plan(pat, (p, q, s))
-        images = [-1] * pat.f
-        images[0], images[1], images[2] = a, b, c
-        used = (1 << a) | (1 << b) | (1 << c)
-        anchored = all(host.contains(images[i], images[j], images[pos])
-                       for pos in range(3) for i, j in plan[pos][1])
-        if anchored and _backtrack(host, plan, images, used, 3):
+    rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~((1 << a) | (1 << b) | (1 << c))
+    # abc is a host edge, so a pattern edge among the three anchors always lands on one
+    for anchors in permutations(range(pat.f), 3):
+        images = [a, b, c] + [-1] * (pat.f - 3)
+        if _backtrack(rows, _anchored_plan(pat, anchors), images, free, 3):
             return True
     return False
 
@@ -269,17 +265,10 @@ def _anchored_plan(pat: Pattern, anchors: tuple[int, ...]):
         nxt = max(remaining, key=score)
         placed.append(nxt)
         remaining.remove(nxt)
-    pos_of = {v: i for i, v in enumerate(placed)}
-    plan = []
-    for i, v in enumerate(placed):
-        cons = []
-        for e in edges:
-            if v in e:
-                others = [u for u in e if u != v]
-                lo, hi = pos_of[others[0]], pos_of[others[1]]
-                if lo < i and hi < i:
-                    cons.append((lo, hi))
-        plan.append((v, tuple(cons)))
-    plan_t = tuple(plan)
-    pat._orders[anchors] = plan_t
-    return plan_t
+    table = pat.graph.pair_masks()
+    plan = tuple(
+        (v, tuple((j, k) for j, k in combinations(range(i), 2) if table[placed[j]][placed[k]] >> v & 1))
+        for i, v in enumerate(placed)
+    )
+    pat._orders[anchors] = plan
+    return plan

@@ -43,6 +43,16 @@ def embeds_through(host, x, pat):
     return False
 
 
+def extends_edge(host, e, pat):
+    """Brute force over all injective maps: does some pattern image contain the edge e?"""
+    pedges = triples_of(pat.graph)
+    hedges = set(triples_of(host))
+    for img in permutations(range(host.n), pat.f):
+        if set(e) <= set(img) and all(tuple(sorted((img[a], img[b], img[c]))) in hedges for a, b, c in pedges):
+            return True
+    return False
+
+
 def uncovered(host, pat):
     return tuple(x for x in range(host.n) if not embeds_through(host, x, pat))
 

@@ -89,6 +89,19 @@ def test_search_budget_exit_code(capsys):
     assert payload["exhaustive"] is False
 
 
+def test_truncated_search_json_is_deterministic(capsys):
+    # a zero budget stops before the first leaf, 0.05 s after a host-dependent number of them
+    outputs = []
+    for budget in ("0", "0.05"):
+        code, stdout, _ = run(capsys, "search", "--pattern", "C5", "--n", "7", "--budget-seconds", budget)
+        assert code == 4
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
+    assert payload["graphs_scanned"] is None and payload["value"] is None
+    assert "target" not in payload["note"]
+
+
 def test_search_negative_budget_exits_2(capsys):
     code, stdout, err = run(
         capsys, "search", "--pattern", "K4", "--n", "5", "--budget-seconds", "-1"
@@ -108,6 +121,22 @@ def test_bounds_table(capsys):
     assert by_n[13]["exact"] == 4 and by_n[14]["exact"] == 4 and by_n[17]["exact"] == 5
     assert by_n[12]["exact"] is None and by_n[12]["lower"] == 3 and by_n[12]["upper"] == 4
     assert by_n[18]["lower"] == 5 and by_n[18]["upper"] == 6
+
+
+def test_bounds_empty_range_exits_2(capsys):
+    code, stdout, err = run(capsys, "bounds", "--pattern", "K4", "--n", "9..5")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_recover_zero_denominator_delta_exits_2(tmp_path, capsys):
+    out = tmp_path / "f1_9.h3"
+    run(capsys, "construct", "f1", "--n", "9", "-o", str(out))
+    code, stdout, err = run(capsys, "recover", "--in", str(out), "--apex", "8", "--delta", "1/0")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_recover_roundtrip(tmp_path, capsys):

@@ -412,10 +412,27 @@ def test_decoded_views_match_oracles(g):
         assert mask == sum(1 << w for w in common)
         assert g.codegree(u, v) == oracles.codegree(g, u, v)
     assert g.min_codegree() == oracles.min_codegree(g)
+    table = g.pair_masks()
+    assert len(table) == g.n and all(len(row) == g.n for row in table)
+    for u in range(g.n):
+        assert table[u][u] == 0
+        for v in range(u + 1, g.n):
+            assert table[u][v] is table[v][u]
+            assert table[u][v] == g.pair_mask(u, v) == g.pair_mask(v, u)
     for x in range(g.n):
+        assert g.degree(x) == oracles.degree(g, x)
         link = [tuple(w for w in t if w != x) for t in triples if x in t]
         link.sort(key=lambda p: pair_rank(*p))
-        assert list(g.link_graph(x).pairs()) == link
+        lk = g.link_graph(x)
+        assert list(lk.pairs()) == link
+        assert lk.num_pairs == len(link)
+        for u, v in combinations(range(g.n), 2):
+            assert lk.contains(u, v) == lk.contains(v, u) == ((u, v) in link)
+        for u in range(g.n):
+            assert lk.degree(u) == sum(u in p for p in link)
+        triangles = (t for t in combinations(range(g.n), 3) if all(p in link for p in combinations(t, 2)))
+        assert lk.first_triangle() == next(triangles, None)
+    assert g.min_degree() == min((oracles.degree(g, x) for x in range(g.n)), default=0)
     assert Hypergraph3.from_triples(g.n, g.edges()) == g
     text = dumps_h3(g, "text")
     assert text == f"{g.n} {len(triples)}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in triples)

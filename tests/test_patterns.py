@@ -276,6 +276,19 @@ def test_edge_extendable_above_bound():
         assert edge_extendable(host, e, pattern("K4-"))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=6).flatmap(
+        lambda n: st.integers(min_value=0, max_value=(1 << comb(n, 3)) - 1).map(lambda b: Hypergraph3(n, b))
+    ),
+    st.sampled_from(["K4", "K4-", "C5", "F32"]),
+)
+def test_edge_extendable_matches_brute_force(host, name):
+    pat = pattern(name)
+    for e in host.edges():
+        assert edge_extendable(host, e, pat) == oracles.extends_edge(host, e, pat)
+
+
 def test_edge_extendable_rejects_non_edge():
     with pytest.raises(ValueError):
         edge_extendable(build(4, [(0, 1, 2)]), (0, 1, 3), pattern("K4"))
