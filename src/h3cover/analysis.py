@@ -221,8 +221,7 @@ def _dfs_feasible(pat, n, target, deadline, stats):
             raise _BudgetExceeded
         if rank < 0:
             stats.leaves += 1
-            g = Hypergraph3(n, bits)
-            return bits if any(embed_covering(g, x, pat) is None for x in range(n)) else None
+            return bits if uncovered_vertices(Hypergraph3(n, bits), pat) else None
         ps = pair_ids[rank]
         ok = True
         for p in ps:
@@ -338,10 +337,13 @@ def recover_partition(
     configurations, then reads off the parts as the vertices whose joint
     neighbourhood with x avoids one bucket.  Returns None when no triangle
     exists or the three candidate sets fail to partition the non-apex
-    vertices.  Diagnostics are measured, not assumed.
+    vertices.  Diagnostics are measured, not assumed.  A negative slack is
+    a ValueError.
     """
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
+    if slack < 0:
+        raise ValueError(f"slack must be >= 0, got {slack}")
     link = g.link_graph(x)
     tri = link.first_triangle()
     if tri is None:

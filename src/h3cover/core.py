@@ -335,9 +335,11 @@ class LinkGraph:
         self._row = row
 
     def contains(self, u: int, v: int) -> bool:
-        if u == v or u < 0 or v < 0:
+        if u == v:
             raise ValueError(f"not a pair of distinct vertices: {(u, v)}")
-        return u < self.n and self._row[u] >> v & 1 == 1
+        self._check_vertex(u)
+        self._check_vertex(v)
+        return self._row[u] >> v & 1 == 1
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """The pairs u < v, in colex order (by v, then u)."""
@@ -346,10 +348,12 @@ class LinkGraph:
                 yield u, v
 
     def adjacency_mask(self, u: int) -> int:
+        self._check_vertex(u)
         return self._row[u]
 
     def degree(self, u: int) -> int:
         """Neighbour count of u; equals the codegree of x and u in the owner."""
+        self._check_vertex(u)
         return self._row[u].bit_count()
 
     @property
@@ -365,6 +369,9 @@ class LinkGraph:
                 if common:
                     return a, b, (common & -common).bit_length() - 1
         return None
+
+    # the owner's range check; it reads only self.n, which the link shares
+    _check_vertex = Hypergraph3._check_vertex
 
     def __repr__(self) -> str:
         return f"LinkGraph(x={self.x}, pairs={self.num_pairs})"

@@ -13,6 +13,16 @@ failed greedy run is not evidence that no embedding exists.  Every search
 fetches the host's pair table (``Hypergraph3.pair_masks``) once per call; a
 position's candidates are the unused host vertices in the table entry of
 each already-mapped pattern pair that forms an edge with it.
+
+The exhaustive searches skip the work that the pattern's own symmetry makes
+redundant and return what a search without it would.  ``embed_covering``
+puts x only at the least vertex of each orbit of Aut(F), because an anchor
+fails iff its whole orbit does.  Twins (u, v with the swap (u v) an
+automorphism) placed after the anchors must take increasing images; the
+search returns the least image sequence in plan order, whose twin images
+already increase.  ``uncovered_vertices`` credits every vertex of a found
+copy as covered.  ``greedy_embed`` anchors every position, so no twin bound
+applies to it and its lowest-index pick is unchanged.
 """
 
 from __future__ import annotations
@@ -55,6 +65,8 @@ class Pattern:
     ordering: tuple[int, ...]
     _orders: dict = field(default_factory=dict, repr=False)
     _edge_list: tuple = field(default=(), repr=False)
+    _twin_class: tuple = field(default=(), repr=False)
+    _orbit_reps: tuple = field(default=(), repr=False)
 
     def edge_list(self) -> tuple[tuple[int, int, int], ...]:
         return self._edge_list
@@ -141,7 +153,46 @@ def pattern_from_graph(name: str, graph: Hypergraph3) -> Pattern:
     r, ordering = degeneracy(graph)
     pat = Pattern(name=name, graph=graph, f=graph.n, r=r, ordering=ordering)
     object.__setattr__(pat, "_edge_list", tuple(graph.edges()))
+    object.__setattr__(pat, "_twin_class", _twin_classes(graph))
+    object.__setattr__(pat, "_orbit_reps", _orbit_representatives(pat))
     return pat
+
+
+def _twin_classes(graph: Hypergraph3) -> tuple[int, ...]:
+    """The least twin of each vertex (itself if it has none below it).
+
+    Swapping u and v is an automorphism iff, for every other vertex w, the
+    table entries [u][w] and [v][w] agree outside u and v.  Conjugating one
+    such transposition by another gives a third, so twins form classes.
+    """
+    rows, n = graph.pair_masks(), graph.n
+    label = list(range(n))
+    for u, v in combinations(range(n), 2):
+        keep = ~((1 << u) | (1 << v))
+        if label[v] == v and all(
+            rows[u][w] & keep == rows[v][w] & keep for w in range(n) if w != u and w != v
+        ):
+            label[v] = label[u]
+    return tuple(label)
+
+
+def _orbit_representatives(pat: Pattern) -> tuple[int, ...]:
+    """The least vertex of each orbit of Aut(F), ascending.
+
+    a starts a new orbit iff no self-embedding maps an earlier representative
+    onto a; an injective edge-preserving self-map of a finite graph is an
+    automorphism.  Only the representatives' plans are built, and
+    ``embed_covering`` needs exactly those.
+    """
+    rows, full = pat.graph.pair_masks(), (1 << pat.f) - 1
+    reps: list[int] = []
+    for a in range(pat.f):
+        if not any(
+            _backtrack(rows, _anchored_plan(pat, (r,)), [a] + [-1] * (pat.f - 1), full & ~(1 << a), 1)
+            for r in reps
+        ):
+            reps.append(a)
+    return tuple(reps)
 
 
 def greedy_cover_bound(pat: Pattern, n: int) -> int:
@@ -159,9 +210,13 @@ def greedy_cover_bound(pat: Pattern, n: int) -> int:
 # -- backtracking embedding -------------------------------------------------
 
 
-def _candidates(rows, cons, images: list[int], free: int) -> int:
+def _candidates(rows, step, images: list[int], free: int) -> int:
     """The vertices of free that complete an edge with the images of every
-    constraint pair of one plan position, read from the host's pair table."""
+    constraint pair of one plan position, read from the host's pair table,
+    and that exceed the image of the position's earlier twin, if any."""
+    _, cons, twin = step
+    if twin >= 0:
+        free &= -(2 << images[twin])
     for i, j in cons:
         free &= rows[images[i]][images[j]]
         if not free:
@@ -172,7 +227,7 @@ def _candidates(rows, cons, images: list[int], free: int) -> int:
 def _backtrack(rows, plan, images: list[int], free: int, pos: int) -> bool:
     if pos == len(plan):
         return True
-    for v in _iter_bits(_candidates(rows, plan[pos][1], images, free)):
+    for v in _iter_bits(_candidates(rows, plan[pos], images, free)):
         images[pos] = v
         if _backtrack(rows, plan, images, free & ~(1 << v), pos + 1):
             return True
@@ -182,15 +237,16 @@ def _backtrack(rows, plan, images: list[int], free: int, pos: int) -> bool:
 def embed_covering(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int, int]]:
     """Some embedding of the pattern whose image contains x, or None.
 
-    Exhaustive: tries every pattern position for x and backtracks over the
-    rest, pruning candidates through joint pair neighbourhoods.
+    Exhaustive: tries x at the least vertex of each automorphism orbit of
+    the pattern and backtracks over the rest, pruning candidates through
+    joint pair neighbourhoods and the twin order.
     """
     if not 0 <= x < host.n:
         raise ValueError(f"vertex {x} out of range")
     if host.n < pat.f:
         return None
     rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~(1 << x)
-    for anchor in range(pat.f):
+    for anchor in pat._orbit_reps:
         plan = _anchored_plan(pat, (anchor,))
         images = [x] + [-1] * (pat.f - 1)
         if _backtrack(rows, plan, images, free, 1):
@@ -212,19 +268,33 @@ def greedy_embed(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int, 
     plan = _anchored_plan(pat, pat.ordering)
     rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~(1 << x)
     images: list[int] = [x]
-    for _, cons in plan[1:]:
-        cand = _candidates(rows, cons, images, free)
+    for step in plan[1:]:
+        cand = _candidates(rows, step, images, free)
         if not cand:
             return None
         pick = (cand & -cand).bit_length() - 1
         images.append(pick)
         free &= ~(1 << pick)
-    return {v: images[i] for i, (v, _) in enumerate(plan)}
+    return {step[0]: images[i] for i, step in enumerate(plan)}
 
 
 def uncovered_vertices(host: Hypergraph3, pat: Pattern) -> tuple[int, ...]:
-    """Vertices through which no pattern copy passes."""
-    return tuple(x for x in range(host.n) if embed_covering(host, x, pat) is None)
+    """Vertices through which no pattern copy passes, ascending.
+
+    Every vertex of a copy found through one vertex is covered too, so the
+    search runs only through vertices that no earlier copy covered.
+    """
+    covered, uncovered = 0, []
+    for x in range(host.n):
+        if covered >> x & 1:
+            continue
+        emb = embed_covering(host, x, pat)
+        if emb is None:
+            uncovered.append(x)
+        else:
+            for v in emb.values():
+                covered |= 1 << v
+    return tuple(uncovered)
 
 
 def edge_extendable(host: Hypergraph3, e: Sequence[int], pat: Pattern) -> bool:
@@ -246,9 +316,11 @@ def edge_extendable(host: Hypergraph3, e: Sequence[int], pat: Pattern) -> bool:
 def _anchored_plan(pat: Pattern, anchors: tuple[int, ...]):
     """Static vertex order from the anchors, most-constrained first.
 
-    Returns per-position (pattern_vertex, constraints) where constraints are
-    the pattern edges of that vertex whose other two endpoints appear earlier,
-    as pairs of earlier positions.
+    Returns per-position (pattern_vertex, constraints, twin) where constraints
+    are the pattern edges of that vertex whose other two endpoints appear
+    earlier, as pairs of earlier positions, and twin is the latest earlier
+    non-anchor position holding a twin of the vertex (-1 if none, and for
+    every anchor), whose image the vertex's image must exceed.
     """
     cached = pat._orders.get(anchors)
     if cached is not None:
@@ -266,9 +338,15 @@ def _anchored_plan(pat: Pattern, anchors: tuple[int, ...]):
         placed.append(nxt)
         remaining.remove(nxt)
     table = pat.graph.pair_masks()
-    plan = tuple(
-        (v, tuple((j, k) for j, k in combinations(range(i), 2) if table[placed[j]][placed[k]] >> v & 1))
-        for i, v in enumerate(placed)
-    )
+    latest: dict[int, int] = {}
+    steps = []
+    for i, v in enumerate(placed):
+        cons = tuple((j, k) for j, k in combinations(range(i), 2) if table[placed[j]][placed[k]] >> v & 1)
+        twin = -1
+        if i >= len(anchors):
+            twin = latest.get(pat._twin_class[v], -1)
+            latest[pat._twin_class[v]] = i
+        steps.append((v, cons, twin))
+    plan = tuple(steps)
     pat._orders[anchors] = plan
     return plan

@@ -151,3 +151,31 @@ def partition_violations(g, x, parts):
         for u, v in combinations(parts[i], 2) for w in parts[j]
     )
     return within, missing_cross, tripartite, missing_two
+
+
+def automorphisms(g):
+    """Every vertex permutation p (as a tuple, p[v] the image of v) that maps the edge set onto itself."""
+    edges = set(triples_of(g))
+    return [
+        p for p in permutations(range(g.n))
+        if all(tuple(sorted((p[a], p[b], p[c]))) in edges for a, b, c in edges)
+    ]
+
+
+def automorphism_orbits(g):
+    """The vertex orbits of Aut(g), each ascending, ordered by least vertex."""
+    auts = automorphisms(g)
+    return sorted({tuple(sorted({p[v] for p in auts})) for v in range(g.n)})
+
+
+def twin_classes(g):
+    """For each vertex, the vertices whose transposition with it is an automorphism (itself
+    included), each ascending; the distinct ones, ordered by least vertex."""
+    auts = set(automorphisms(g))
+
+    def swap(u, v):
+        p = list(range(g.n))
+        p[u], p[v] = v, u
+        return tuple(p)
+
+    return sorted({tuple(u for u in range(g.n) if swap(u, v) in auts) for v in range(g.n)})

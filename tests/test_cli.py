@@ -139,6 +139,15 @@ def test_recover_zero_denominator_delta_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_recover_negative_delta_exits_2(tmp_path, capsys):
+    out = tmp_path / "f1_9.h3"
+    run(capsys, "construct", "f1", "--n", "9", "-o", str(out))
+    code, stdout, err = run(capsys, "recover", "--in", str(out), "--apex", "8", "--delta", "-1")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_recover_roundtrip(tmp_path, capsys):
     out = tmp_path / "f1_15.h3"
     run(capsys, "construct", "f1", "--n", "15", "-o", str(out))

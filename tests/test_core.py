@@ -173,6 +173,19 @@ def test_link_degree_equals_codegree():
             assert lk.degree(u) == g.codegree(2, u)
 
 
+def test_link_rejects_out_of_range_vertex():
+    lk = f1(9)[0].link_graph(8)
+    for u in (-1, -2, 9):
+        with pytest.raises(ValueError):
+            lk.degree(u)
+        with pytest.raises(ValueError):
+            lk.adjacency_mask(u)
+        with pytest.raises(ValueError):
+            lk.contains(0, u)
+        with pytest.raises(ValueError):
+            lk.contains(u, 0)
+
+
 # -- edit distance and canonical keys ----------------------------------------
 
 

@@ -1,5 +1,8 @@
+import json
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from itertools import combinations
 from math import comb
 
@@ -10,14 +13,18 @@ from h3cover import (
     edge_extendable,
     embed_covering,
     f1,
+    f2,
     f3,
     f4,
+    f32_tripartite,
     greedy_cover_bound,
     greedy_embed,
     pattern,
+    pattern_from_graph,
     steiner,
     uncovered_vertices,
 )
+from h3cover import patterns
 from h3cover.patterns import CATALOG
 
 import oracles
@@ -115,6 +122,78 @@ def test_greedy_cover_bound_values():
 def test_greedy_cover_bound_rejects_small_host():
     with pytest.raises(ValueError):
         greedy_cover_bound(pattern("K5"), 4)
+
+
+# -- symmetry data ----------------------------------------------------------------
+
+
+def assert_symmetry_data(pat):
+    assert pat._orbit_reps == tuple(orbit[0] for orbit in oracles.automorphism_orbits(pat.graph))
+    classes = {}
+    for v, label in enumerate(pat._twin_class):
+        classes.setdefault(label, []).append(v)
+    assert all(label == members[0] for label, members in classes.items())
+    assert sorted(map(tuple, classes.values())) == oracles.twin_classes(pat.graph)
+
+
+@pytest.mark.parametrize("name", [name for name in CATALOG if pattern(name).f <= 7])
+def test_catalog_symmetry_data_matches_brute_force(name):
+    assert_symmetry_data(pattern(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=6).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.sampled_from(list(combinations(range(n), 3))), min_size=1))
+    )
+)
+# no automorphism but the identity
+@example((6, {(0, 1, 2), (0, 2, 4), (0, 2, 5), (0, 3, 5), (0, 4, 5), (1, 4, 5)}))
+# isolated vertices 3, 4 and 5 form one orbit and one twin class
+@example((6, {(0, 1, 2)}))
+def test_drawn_pattern_symmetry_matches_brute_force(spec):
+    n, edges = spec
+    assert_symmetry_data(pattern_from_graph("drawn", build(n, edges)))
+
+
+def test_embeddings_match_recorded_golden():
+    data = json.loads((Path(__file__).parent / "golden_embeddings.json").read_text())
+    families = {"f1": f1, "f2": f2, "f4": f4, "f32tri": f32_tripartite}
+    for case in data["cases"]:
+        name = case["host"]
+        if name.startswith("random"):
+            host = Hypergraph3(case["n"], data["random_bits"][int(name[len("random"):])])
+        else:
+            host = families[name](case["n"])[0]
+        pat = pattern(case["pattern"])
+        for key, search in (("embed", embed_covering), ("greedy", greedy_embed)):
+            for x, images in enumerate(case[key]):
+                want = None if images is None else dict(enumerate(images))
+                assert search(host, x, pat) == want, (name, pat.name, key, x)
+        unc = tuple(x for x, images in enumerate(case["embed"]) if images is None)
+        assert uncovered_vertices(host, pat) == unc, (name, pat.name)
+
+
+@pytest.mark.parametrize(
+    "family, name, unreduced_calls",
+    # entries into _backtrack, recursion included, before orbit anchors, twin
+    # order and image crediting: f4(36)/C5 1,050,174; f32tri(36)/F32 814,320
+    [(f4, "C5", 1_050_174), (f32_tripartite, "F32", 814_320)],
+)
+def test_symmetry_reduction_work_guard(monkeypatch, family, name, unreduced_calls):
+    host, claims = family(36)
+    pat = pattern(name)
+    calls = 0
+    backtrack = patterns._backtrack
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return backtrack(*args)
+
+    monkeypatch.setattr(patterns, "_backtrack", counting)
+    assert uncovered_vertices(host, pat) == claims.uncovered
+    assert calls <= unreduced_calls // 3
 
 
 # -- embed_covering --------------------------------------------------------------
@@ -244,6 +323,20 @@ def test_greedy_success_implies_embedding(bits, name, x):
 
 def test_uncovered_complete_host():
     assert uncovered_vertices(complete(5), pattern("K4")) == ()
+
+
+def test_uncovered_searches_only_through_uncredited_vertices(monkeypatch):
+    # the copy found through 0 covers 0..3; each later copy covers its own vertex and 0, 1, 2
+    searched = []
+    search = patterns.embed_covering
+
+    def recording(host, x, pat):
+        searched.append(x)
+        return search(host, x, pat)
+
+    monkeypatch.setattr(patterns, "embed_covering", recording)
+    assert uncovered_vertices(complete(8), pattern("K4")) == ()
+    assert searched == [0, 4, 5, 6, 7]
 
 
 def test_uncovered_f4_is_first_half():
