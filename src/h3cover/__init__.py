@@ -41,6 +41,7 @@ from .constructions import (
     f32_tripartite,
     fano_bipartite,
     steiner,
+    sts,
 )
 from .analysis import (
     BoundBracket,

@@ -34,7 +34,6 @@ __all__ = [
     "VerificationReport",
     "PAIR_SLOTS",
     "SY_SETS",
-    "SY_TRIANGLES",
     "c2_bounds",
     "c2_exact",
     "classify_sy",
@@ -123,13 +122,6 @@ SY_SETS = {
     "S2c": frozenset({"ab", "ac", "bc", "cx"}),
     "S3": frozenset({"ax", "bx", "cx"}),
 }
-
-# adding y on top of any of these completes a K4 through x
-SY_TRIANGLES = (
-    frozenset({"ab", "ax", "bx"}),
-    frozenset({"ac", "ax", "cx"}),
-    frozenset({"bc", "bx", "cx"}),
-)
 
 
 @dataclass(frozen=True)
@@ -463,20 +455,19 @@ def verify_construction(
     )
     seen = set()
     valid_layout = claims.n == g.n
-    for part in claims.partition.parts:
+    apex = () if claims.partition.apex is None else (claims.partition.apex,)
+    for part in (*claims.partition.parts, apex):
         for v in part:
             valid_layout &= 0 <= v < g.n and v not in seen
             seen.add(v)
-    if claims.partition.apex is not None:
-        valid_layout &= claims.partition.apex not in seen
-        seen.add(claims.partition.apex)
     valid_layout &= len(seen) == g.n
     checks.append(
         CheckResult("partition", "valid", "valid" if valid_layout else "invalid", valid_layout)
     )
     for v in claims.uncovered:
-        covered = embed_covering(g, v, pat) is not None
-        checks.append(
-            CheckResult(f"uncovered:{v}", "uncovered", "covered" if covered else "uncovered", not covered)
-        )
+        if not 0 <= v < g.n:
+            measured = "out of range"
+        else:
+            measured = "uncovered" if embed_covering(g, v, pat) is None else "covered"
+        checks.append(CheckResult(f"uncovered:{v}", "uncovered", measured, measured == "uncovered"))
     return VerificationReport(tuple(checks), all(c.passed for c in checks))

@@ -18,7 +18,6 @@ from pathlib import Path
 from .analysis import c2_bounds, c2_exact, recover_partition, verify_construction
 from .constructions import (
     ConstructionClaims,
-    Tripartition,
     admissible_sample,
     blow_up,
     f1,
@@ -28,14 +27,12 @@ from .constructions import (
     f4,
     f32_tripartite,
     fano_bipartite,
-    steiner,
+    sts,
 )
 from .core import load_h3, write_h3
 from .patterns import pattern, uncovered_vertices
 
 SCHEMA = 1
-
-CONSTRUCTION_NAMES = ("f1", "f1e", "f1p", "f2", "f3", "f4", "sts", "blowup", "fano2", "f32tri")
 
 
 def _emit(payload: dict, fmt: str, table_lines=None) -> None:
@@ -57,36 +54,27 @@ def _f1_variant(args, case: str):
     return f1_variant(case, admissible_sample(case, args.n, args.seed), args.n)
 
 
-# constructions sized by --n: name -> function of the parsed arguments returning (graph, claims)
-SIZED_CONSTRUCTIONS = {
-    "f1": lambda args: f1(args.n),
-    "f1e": lambda args: _f1_variant(args, args.case if args.case is not None else str(args.n % 3)),
-    "f1p": lambda args: _f1_variant(args, "2p"),
-    "f2": lambda args: f2(args.n),
-    "f3": lambda args: f3(args.n),
-    "f4": lambda args: f4(args.n),
-    "fano2": lambda args: fano_bipartite(args.n),
-    "f32tri": lambda args: f32_tripartite(args.n),
+# name -> (the option that sizes it, function of the parsed arguments returning (graph, claims))
+CONSTRUCTIONS = {
+    "f1": ("n", lambda args: f1(args.n)),
+    "f1e": ("n", lambda args: _f1_variant(args, args.case if args.case is not None else str(args.n % 3))),
+    "f1p": ("n", lambda args: _f1_variant(args, "2p")),
+    "f2": ("n", lambda args: f2(args.n)),
+    "f3": ("n", lambda args: f3(args.n)),
+    "f4": ("n", lambda args: f4(args.n)),
+    "sts": ("t", lambda args: sts(args.t)),
+    "blowup": ("base", lambda args: blow_up(load_h3(args.base), args.factor)),
+    "fano2": ("n", lambda args: fano_bipartite(args.n)),
+    "f32tri": ("n", lambda args: f32_tripartite(args.n)),
 }
 
 
 def cmd_construct(args) -> int:
-    name = args.name
-    if name == "sts":
-        if args.t is None:
-            raise ValueError("sts needs --t")
-        g = steiner(args.t)
-        claims = ConstructionClaims("sts", args.t, min_codegree=1, uncovered=(),
-                                    partition=Tripartition(apex=None, parts=()), params=(("t", args.t),))
-    elif name == "blowup":
-        if args.base is None:
-            raise ValueError("blowup needs --base pointing at a .h3 file")
-        g, claims = blow_up(load_h3(args.base), args.factor)
-    else:
-        if args.n is None:
-            raise ValueError(f"{name} needs --n")
-        g, claims = SIZED_CONSTRUCTIONS[name](args)
-    out = args.output or f"{name}_{claims.n}.h3"
+    size, make = CONSTRUCTIONS[args.name]
+    if getattr(args, size) is None:
+        raise ValueError(f"{args.name} needs --{size}")
+    g, claims = make(args)
+    out = args.output or f"{args.name}_{claims.n}.h3"
     write_h3(g, out, args.fmt)
     cpath = _claims_path(out)
     with open(cpath, "w", encoding="ascii") as fh:
@@ -247,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="generate a construction plus its claims sidecar")
-    p.add_argument("name", choices=CONSTRUCTION_NAMES)
+    p.add_argument("name", choices=CONSTRUCTIONS)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t", type=int, default=None, help="vertex count for sts")
     p.add_argument("--seed", type=int, default=0)

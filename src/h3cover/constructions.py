@@ -5,6 +5,11 @@ record stating the intended minimum codegree, the vertices the construction
 leaves uncovered for its target pattern, and the planted partition.  Claims
 are never trusted downstream: the analysis module re-measures all of them.
 
+Each family but the Steiner systems is a rule on part labels, built by one
+private builder from the part sizes, the apex flag and the allowed sorted
+label triples; ``f1_variant`` then swaps the triples of its pair set.
+``sts`` pairs ``steiner`` with claims naming one part of all t vertices.
+
 Layout convention: parts are contiguous index ranges starting at 0 and the
 apex (when one exists) is vertex n-1, so planted partitions are recoverable
 in tests and serializations are stable.
@@ -19,7 +24,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import Hypergraph3, triple_rank, triple_table
+from .core import Hypergraph3, _bitmap, triple_rank, triple_table
 
 __all__ = [
     "Tripartition",
@@ -33,6 +38,7 @@ __all__ = [
     "f3",
     "f4",
     "steiner",
+    "sts",
     "blow_up",
     "fano_bipartite",
     "f32_tripartite",
@@ -197,15 +203,31 @@ def _part_index(parts: tuple[tuple[int, ...], ...], n: int) -> list[int]:
     return idx
 
 
-def _pattern_flags(n: int, label: list[int], allowed) -> np.ndarray:
-    """Per colex rank: is the multiset of the triple's vertex labels an allowed one?"""
+def _build(
+    name: str, n: int, sizes: Iterable[int], apex: bool, allowed, min_codegree: int,
+    uncovered: Iterable[int], pattern_hint: str, params: tuple[tuple[str, int], ...] = (),
+) -> tuple[Hypergraph3, ConstructionClaims]:
+    """A family given by a rule on part labels, with its claims.
+
+    The parts are contiguous, of the given sizes, labelled 0, 1, ... in order;
+    the apex, if any, is vertex n-1 with the label after the last part.  The
+    edges are the triples whose sorted vertex labels are among ``allowed``.
+    """
+    parts = _contiguous_parts(sizes)
+    label = _part_index(parts, n)
+    if apex:
+        label[n - 1] = len(parts)
     k = max(label) + 1
     ok = np.zeros((k, k, k), dtype=bool)
     for labels in allowed:
         for p in permutations(labels):
             ok[p] = True
     lab = np.array(label, dtype=np.int16)[triple_table(n)]
-    return ok[lab[:, 0], lab[:, 1], lab[:, 2]]
+    claims = ConstructionClaims(
+        name, n, min_codegree, tuple(uncovered),
+        Tripartition(apex=n - 1 if apex else None, parts=parts), pattern_hint, params,
+    )
+    return Hypergraph3.from_flags(n, ok[lab[:, 0], lab[:, 1], lab[:, 2]]), claims
 
 
 def _triples_over(k: int, distinct) -> list[tuple[int, int, int]]:
@@ -262,23 +284,12 @@ def f1_variant(
         raise ValueError(f"pair set was built for case {pair_set.case!r}, not {case!r}")
     part = _variant_partition(case, n)
     pair_set.validate(part)
-    apex = n - 1
-    label = _part_index(part.parts, n - 1) + [3]
-    flags = _pattern_flags(n, label, _F1_LABELS)
-    for u, v in pair_set.pairs:
-        flags[triple_rank(u, v, apex)] = False
-        flags[[triple_rank(u, v, w) for w in part.parts[3 - label[u] - label[v]]]] = True
-    g = Hypergraph3.from_flags(n, flags)
-    claims = ConstructionClaims(
-        name="f1e" if case != "2p" else "f1p",
-        n=n,
-        min_codegree=(2 * n - 5) // 3,
-        uncovered=(apex,),
-        partition=part,
-        pattern_hint="K4",
-        params=(("pairs", len(pair_set.pairs)),),
-    )
-    return g, claims
+    g, claims = _build("f1e" if case != "2p" else "f1p", n, part.sizes(), True, _F1_LABELS,
+                       (2 * n - 5) // 3, (n - 1,), "K4", (("pairs", len(pair_set.pairs)),))
+    # pairs uv and uw add the same triple uvw: toggle the union of the swaps once
+    swaps = [triple_rank(u, v, w) for u, v in pair_set.pairs
+             for w in (n - 1, *part.parts[3 - part.part_of(u) - part.part_of(v)])]
+    return Hypergraph3(n, g.bits ^ _bitmap(np.array(swaps, dtype=np.int64))), claims
 
 
 def admissible_sample(case: str, n: int, seed: int = 0) -> AdmissiblePairSet:
@@ -313,27 +324,15 @@ def f2(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
     """
     if n < 7:
         raise ValueError("f2 needs n >= 7")
-    apex = n - 1
-    parts = _contiguous_parts(_descending_sizes(n - 1, 6))
     runs = [(i, (i + 1) % 6, (i + 2) % 6) for i in range(6)]
     forbidden = {tuple(sorted(t)) for i, j, k in runs for t in ((i, i, j), (i, j, j), (i, j, k))}
     allowed = [t for t in _triples_over(6, bool) if t not in forbidden]
     allowed += [(i, (i + 1) % 6, 6) for i in range(6)]
-    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n - 1) + [6], allowed))
-    if n >= 12:
-        m, r = divmod(n, 6)
-        claimed = (2 * m - 1) if r == 0 else (2 * m + 1) if r == 5 else 2 * m
-    else:
-        claimed = g.min_codegree()
-    claims = ConstructionClaims(
-        name="f2",
-        n=n,
-        min_codegree=claimed,
-        uncovered=(apex,),
-        partition=Tripartition(apex=apex, parts=parts),
-        pattern_hint="K4-",
-    )
-    return g, claims
+    m, r = divmod(n, 6)
+    claimed = (2 * m - 1) if r == 0 else (2 * m + 1) if r == 5 else 2 * m
+    g, claims = _build("f2", n, _descending_sizes(n - 1, 6), True, allowed, claimed, (n - 1,), "K4-")
+    # below n = 12 the residue table does not hold: claim the measured value
+    return g, claims if n >= 12 else replace(claims, min_codegree=g.min_codegree())
 
 
 def f3(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
@@ -344,19 +343,8 @@ def f3(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
     """
     if n < 5:
         raise ValueError("f3 needs n >= 5")
-    apex = n - 1
-    parts = _contiguous_parts(_ascending_sizes(n - 1, 2))
     allowed = _triples_over(2, lambda d: d == 2) + [(0, 0, 2), (1, 1, 2)]
-    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n - 1) + [2], allowed))
-    claims = ConstructionClaims(
-        name="f3",
-        n=n,
-        min_codegree=(n - 3) // 2,
-        uncovered=(apex,),
-        partition=Tripartition(apex=apex, parts=parts),
-        pattern_hint="C5",
-    )
-    return g, claims
+    return _build("f3", n, _ascending_sizes(n - 1, 2), True, allowed, (n - 3) // 2, (n - 1,), "C5")
 
 
 def f4(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
@@ -369,18 +357,9 @@ def f4(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
     if n < 5:
         raise ValueError("f4 needs n >= 5")
     half = n // 2
-    parts = _contiguous_parts((half, n - half))
     # an even number of vertices in the first half: none or two
-    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n), [(1, 1, 1), (0, 0, 1)]))
-    claims = ConstructionClaims(
-        name="f4",
-        n=n,
-        min_codegree=(n - 3) // 2,
-        uncovered=parts[0],
-        partition=Tripartition(apex=None, parts=parts),
-        pattern_hint="C5",
-    )
-    return g, claims
+    return _build("f4", n, (half, n - half), False, [(1, 1, 1), (0, 0, 1)], (n - 3) // 2,
+                  range(half), "C5")
 
 
 def steiner(t: int) -> Hypergraph3:
@@ -424,6 +403,14 @@ def steiner(t: int) -> Hypergraph3:
     return Hypergraph3.from_triples(t, triples)
 
 
+def sts(t: int) -> tuple[Hypergraph3, ConstructionClaims]:
+    """The Steiner triple system ``steiner(t)`` with its claims: codegree 1, one part."""
+    claims = ConstructionClaims("sts", t, min_codegree=1, uncovered=(),
+                                partition=Tripartition(apex=None, parts=(tuple(range(t)),)),
+                                params=(("t", t),))
+    return steiner(t), claims
+
+
 def _clique_number(h: Hypergraph3) -> int:
     for size in range(h.n, 2, -1):
         for s in combinations(range(h.n), size):
@@ -447,22 +434,11 @@ def blow_up(h: Hypergraph3, factor: int) -> tuple[Hypergraph3, ConstructionClaim
         raise ValueError("base graph must be nonempty on >= 3 vertices")
     m = h.n
     n = factor * m + 1
-    apex = n - 1
-    parts = _contiguous_parts([factor] * m)
     allowed = _triples_over(m, lambda d: d < 3)
     allowed += [t for t in combinations(range(m), 3) if h.contains(*t)]
     allowed += [(i, j, m) for i, j in combinations(range(m), 2)]
-    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n - 1) + [m], allowed))
-    claims = ConstructionClaims(
-        name="blowup",
-        n=n,
-        min_codegree=(h.min_codegree() + 2) * factor - 1,
-        uncovered=(apex,),
-        partition=Tripartition(apex=apex, parts=parts),
-        pattern_hint=f"K{_clique_number(h) + 2}",
-        params=(("factor", factor), ("base_n", m)),
-    )
-    return g, claims
+    return _build("blowup", n, [factor] * m, True, allowed, (h.min_codegree() + 2) * factor - 1,
+                  (n - 1,), f"K{_clique_number(h) + 2}", (("factor", factor), ("base_n", m)))
 
 
 def fano_bipartite(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
@@ -474,17 +450,8 @@ def fano_bipartite(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
     if n < 7:
         raise ValueError("fano_bipartite needs n >= 7")
     half = n // 2
-    parts = _contiguous_parts((half, n - half))
-    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n), [(0, 0, 1), (0, 1, 1)]))
-    claims = ConstructionClaims(
-        name="fano2",
-        n=n,
-        min_codegree=n // 2,
-        uncovered=tuple(range(n)),
-        partition=Tripartition(apex=None, parts=parts),
-        pattern_hint="Fano",
-    )
-    return g, claims
+    return _build("fano2", n, (half, n - half), False, [(0, 0, 1), (0, 1, 1)], n // 2,
+                  range(n), "Fano")
 
 
 def f32_tripartite(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
@@ -495,15 +462,5 @@ def f32_tripartite(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
     """
     if n < 5:
         raise ValueError("f32_tripartite needs n >= 5")
-    parts = _contiguous_parts(_ascending_sizes(n, 3))
     allowed = [(i, i, (i + 1) % 3) for i in range(3)]
-    g = Hypergraph3.from_flags(n, _pattern_flags(n, _part_index(parts, n), allowed))
-    claims = ConstructionClaims(
-        name="f32tri",
-        n=n,
-        min_codegree=n // 3 - 1,
-        uncovered=tuple(range(n)),
-        partition=Tripartition(apex=None, parts=parts),
-        pattern_hint="F32",
-    )
-    return g, claims
+    return _build("f32tri", n, _ascending_sizes(n, 3), False, allowed, n // 3 - 1, range(n), "F32")

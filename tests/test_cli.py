@@ -1,7 +1,9 @@
 import json
 
-from h3cover import Hypergraph3, load_h3, loads_h3, dumps_h3, pattern
-from h3cover.cli import main
+import pytest
+
+from h3cover import Hypergraph3, load_h3, loads_h3, dumps_h3, pattern, write_h3
+from h3cover.cli import CONSTRUCTIONS, main
 
 import oracles
 
@@ -44,6 +46,20 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert code == 3
     report = json.loads(stdout)
     assert report["ok"] is False
+
+
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_every_construction_verifies_against_its_hint(tmp_path, capsys, name):
+    base = tmp_path / "base.h3"
+    write_h3(pattern("K4-").graph, base)
+    option = CONSTRUCTIONS[name][0]
+    size = {"n": "11", "t": "7", "base": str(base)}[option]
+    out = tmp_path / "g.h3"
+    code, stdout, _ = run(capsys, "construct", name, f"--{option}", size, "-o", str(out))
+    assert code == 0
+    hint = json.loads(stdout)["claims"]["pattern_hint"] or "K4"
+    code, stdout, _ = run(capsys, "verify", "--in", str(out), "--pattern", hint)
+    assert code == 0, [c for c in json.loads(stdout)["checks"] if not c["pass"]]
 
 
 def test_construct_sts_infeasible_exits_2(tmp_path, capsys):
@@ -240,3 +256,21 @@ def test_verify_claims_ill_typed_field_exits_2(tmp_path, capsys):
     assert code == 2
     assert "'partition.parts' must be a list of integer lists" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_out_of_range_uncovered_claim_fails_the_check(tmp_path, capsys):
+    code, stdout, err = _claims_without(tmp_path, capsys, lambda c: c.update(uncovered=[8, 500, -1]))
+    assert code == 3
+    assert err == ""
+    checks = {c["name"]: c for c in json.loads(stdout)["checks"]}
+    assert checks["uncovered:8"]["pass"] is True
+    for v in (500, -1):
+        assert checks[f"uncovered:{v}"]["measured"] == "out of range"
+        assert checks[f"uncovered:{v}"]["pass"] is False
+
+
+def test_verify_out_of_range_apex_fails_the_partition_check(tmp_path, capsys):
+    code, stdout, _ = _claims_without(tmp_path, capsys, lambda c: c["partition"].update(apex=500))
+    assert code == 3
+    checks = {c["name"]: c for c in json.loads(stdout)["checks"]}
+    assert checks["partition"]["measured"] == "invalid"
