@@ -7,6 +7,11 @@ engine serves every n <= 7: a depth-first search over edge bitmap prefixes
 with per-pair codegree counters, run for descending targets and bounded by
 an optional time budget.  The witness is the numerically least edge bitmap
 among optimal hosts.
+
+The link configuration of an outside vertex y against an anchored 4-set
+{a, b, c, x} is bit y of six entries of the host's pair table, one per pair
+of the 4-set.  ``classify_sy`` reads those bits; ``recover_partition`` builds
+each of its three buckets as one AND of the six entries or their complements.
 """
 
 from __future__ import annotations
@@ -132,12 +137,10 @@ class SyClass:
     pairs: frozenset
 
 
-def _sy_pairs(g: Hypergraph3, a: int, b: int, c: int, x: int, y: int) -> frozenset:
-    slot_pairs = {
-        "ab": (a, b), "ac": (a, c), "bc": (b, c),
-        "ax": (a, x), "bx": (b, x), "cx": (c, x),
-    }
-    return frozenset(s for s, (p, q) in slot_pairs.items() if g.contains(p, q, y))
+def _slot_masks(rows, a: int, b: int, c: int, x: int) -> tuple[int, ...]:
+    """The pair-table entries of the six slots, in PAIR_SLOTS order: bit y of
+    each says whether that pair forms an edge with y."""
+    return rows[a][b], rows[a][c], rows[b][c], rows[a][x], rows[b][x], rows[c][x]
 
 
 def classify_sy(g: Hypergraph3, quad: tuple[int, int, int, int], y: int) -> SyClass:
@@ -159,7 +162,7 @@ def classify_sy(g: Hypergraph3, quad: tuple[int, int, int, int], y: int) -> SyCl
         raise ValueError("the three pairs of {a,b,c} must all make edges with x")
     if g.contains(a, b, c):
         raise ValueError("abc must not be an edge")
-    sy = _sy_pairs(g, a, b, c, x, y)
+    sy = frozenset(s for s, m in zip(PAIR_SLOTS, _slot_masks(g.pair_masks(), a, b, c, x)) if m >> y & 1)
     if not any(sy <= s for s in SY_SETS.values()):
         return SyClass("VIOLATION", sy)
     for label, s in SY_SETS.items():
@@ -236,19 +239,6 @@ def _dfs_feasible(pat, n, target, deadline, stats):
     return rec(m - 1, 0)
 
 
-def _dfs_engine(pat: Pattern, n: int, deadline: Optional[float]):
-    stats = _DfsStats()
-    for target in range(n - 2, -1, -1):
-        try:
-            bits = _dfs_feasible(pat, n, target, deadline, stats)
-        except _BudgetExceeded:
-            note = f"budget exhausted while testing target {target}; value <= {target}"
-            return None, None, stats.leaves, False, note
-        if bits is not None:
-            return target, bits, stats.leaves, True, None
-    raise RuntimeError("descent fell through; the empty host is always feasible")
-
-
 def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> SearchReport:
     """Exact covering codegree threshold at one n, by exhaustion (f <= n <= 7).
 
@@ -268,7 +258,18 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
 
     t0 = time.monotonic()
     deadline = t0 + budget_seconds if budget_seconds is not None else None
-    value, bits, scanned, exhaustive, note = _dfs_engine(pat, n, deadline)
+    stats, value, bits, note = _DfsStats(), None, None, None
+    for target in range(n - 2, -1, -1):
+        try:
+            bits = _dfs_feasible(pat, n, target, deadline, stats)
+        except _BudgetExceeded:
+            note = f"budget exhausted while testing target {target}; value <= {target}"
+            break
+        if bits is not None:
+            value = target
+            break
+    else:
+        raise RuntimeError("descent fell through; the empty host is always feasible")
     wall_ms = (time.monotonic() - t0) * 1000.0
 
     witness = None
@@ -285,8 +286,8 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
         value=value,
         witness=witness,
         uncovered_vertex=uncovered_vertex,
-        graphs_scanned=scanned,
-        exhaustive=exhaustive,
+        graphs_scanned=stats.leaves,
+        exhaustive=note is None,
         wall_ms=wall_ms,
         note=note,
     )
@@ -336,30 +337,24 @@ def recover_partition(
         raise ValueError(f"vertex {x} out of range")
     if slack < 0:
         raise ValueError(f"slack must be >= 0, got {slack}")
-    link = g.link_graph(x)
-    tri = link.first_triangle()
+    tri = g.link_graph(x).first_triangle()
     if tri is None:
         return None
     a, b, c = tri
-    buckets = {"S1a": {a}, "S1b": {b}, "S1c": {c}}
-    for y in range(g.n):
-        if y in (a, b, c, x):
-            continue
-        sy = _sy_pairs(g, a, b, c, x, y)
-        for label in ("S1a", "S1b", "S1c"):
-            if sy == SY_SETS[label]:
-                buckets[label].add(y)
-                break
-    masks = {k: sum(1 << v for v in vs) for k, vs in buckets.items()}
+    rows = g.pair_masks()
+    ab, ac, bc, ax, bx, cx = _slot_masks(rows, a, b, c, x)
+    # the bucket of a holds a and every y whose configuration is exactly S1a
+    # (likewise b, c); no slot mask contains a, b, c or x
+    buckets = (
+        1 << a | ab & ac & bx & cx & ~bc & ~ax,
+        1 << b | ab & bc & ax & cx & ~ac & ~bx,
+        1 << c | ac & bc & ax & bx & ~ab & ~cx,
+    )
     parts: list[list[int]] = [[], [], []]
     for y in range(g.n):
         if y == x:
             continue
-        hits = [
-            i
-            for i, label in enumerate(("S1a", "S1b", "S1c"))
-            if link.adjacency_mask(y) & masks[label] == 0
-        ]
+        hits = [i for i, bucket in enumerate(buckets) if rows[x][y] & bucket == 0]
         if len(hits) != 1:
             return None
         parts[hits[0]].append(y)
@@ -370,7 +365,7 @@ def recover_partition(
     return RecoveredPartition(
         partition=Tripartition(apex=x, parts=part_tuple),
         seed_triangle=(a, b, c),
-        bucket_sizes=tuple(len(buckets[k]) for k in ("S1a", "S1b", "S1c")),
+        bucket_sizes=tuple(bucket.bit_count() for bucket in buckets),
         diagnostics=diagnostics,
         slack=slack,
         guarantee_applies=guarantee,

@@ -1,8 +1,8 @@
 """Command-line front end tying construction, verification, covering checks,
 bound tables, exhaustive search, and partition recovery into reproducible runs.
 
-Exit codes are a stable contract: 0 ok, 1 I/O failure, 2 usage error,
-3 claim failure, 4 budget exhaustion.  JSON output is byte-identical for
+Exit codes are a stable contract: 0 ok, 1 I/O failure, 2 usage error (also
+an input too large for memory), 3 claim failure, 4 budget exhaustion.  JSON output is byte-identical for
 identical invocations (seeds default to 0, never to entropy; wall-clock
 timings appear only in table mode).
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,11 +36,13 @@ from .patterns import pattern, uncovered_vertices
 SCHEMA = 1
 
 
-def _emit(payload: dict, fmt: str, table_lines=None) -> None:
-    if fmt == "json":
+def _emit(args, payload: dict, lines: list[str]) -> None:
+    """The payload under the schema and command keys in JSON mode; the lines in table mode."""
+    if args.format == "json":
+        payload = {"schema": SCHEMA, "command": args.command, **payload}
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
-        for line in table_lines or [json.dumps(payload, indent=2, sort_keys=True)]:
+        for line in lines:
             print(line)
 
 
@@ -80,14 +83,8 @@ def cmd_construct(args) -> int:
     with open(cpath, "w", encoding="ascii") as fh:
         json.dump(claims.as_json(), fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
-    payload = {
-        "schema": SCHEMA,
-        "command": "construct",
-        "output": str(out),
-        "claims_path": str(cpath),
-        "claims": claims.as_json(),
-    }
-    _emit(payload, args.format, [f"wrote {out} and {cpath}", f"claimed min codegree: {claims.min_codegree}"])
+    payload = {"output": str(out), "claims_path": str(cpath), "claims": claims.as_json()}
+    _emit(args, payload, [f"wrote {out} and {cpath}", f"claimed min codegree: {claims.min_codegree}"])
     return 0
 
 
@@ -99,8 +96,6 @@ def cmd_verify(args) -> int:
     pat = pattern(args.pattern)
     report = verify_construction(g, claims, pat)
     payload = {
-        "schema": SCHEMA,
-        "command": "verify",
         "input": str(args.input),
         "pattern": pat.name,
         **report.as_json(),
@@ -109,7 +104,7 @@ def cmd_verify(args) -> int:
         f"{'PASS' if c.passed else 'FAIL'}  {c.name}: expected {c.expected}, measured {c.measured}"
         for c in report.checks
     ]
-    _emit(payload, args.format, lines)
+    _emit(args, payload, lines)
     return 0 if report.ok else 3
 
 
@@ -118,15 +113,13 @@ def cmd_cover(args) -> int:
     pat = pattern(args.pattern)
     unc = uncovered_vertices(g, pat)
     payload = {
-        "schema": SCHEMA,
-        "command": "cover",
         "input": str(args.input),
         "pattern": pat.name,
         "n": g.n,
         "uncovered": list(unc),
         "covered_count": g.n - len(unc),
     }
-    _emit(payload, args.format, [f"uncovered vertices: {list(unc)}"])
+    _emit(args, payload, [f"uncovered vertices: {list(unc)}"])
     return 0
 
 
@@ -136,8 +129,6 @@ def cmd_search(args) -> int:
     # how far a truncated search got depends on the host's speed, so its JSON
     # leaves out the leaf count and the target (table mode shows both)
     payload = {
-        "schema": SCHEMA,
-        "command": "search",
         "pattern": rep.pattern,
         "n": rep.n,
         "value": rep.value,
@@ -154,7 +145,7 @@ def cmd_search(args) -> int:
         + ("" if rep.exhaustive else f"  [PARTIAL: {rep.note}]"),
         f"graphs scanned: {rep.graphs_scanned}  wall: {rep.wall_ms:.1f} ms",
     ]
-    _emit(payload, args.format, lines)
+    _emit(args, payload, lines)
     return 0 if rep.exhaustive else 4
 
 
@@ -164,23 +155,11 @@ def cmd_bounds(args) -> int:
     lo, hi = int(lo_s), int(hi_s if sep else lo_s)
     if lo > hi:
         raise ValueError(f"empty range {args.n!r}: the first n exceeds the last")
-    rows = []
-    for n in range(lo, hi + 1):
-        br = c2_bounds(pat, n)
-        rows.append(
-            {
-                "n": n,
-                "lower": br.lower,
-                "upper": br.upper,
-                "exact": br.exact,
-                "provenance": br.provenance,
-            }
-        )
-    payload = {"schema": SCHEMA, "command": "bounds", "pattern": pat.name, "rows": rows}
+    rows = [{"n": n, **asdict(c2_bounds(pat, n))} for n in range(lo, hi + 1)]
     lines = [f"{'n':>4} {'lower':>6} {'upper':>6} {'exact':>6}"]
     for r in rows:
         lines.append(f"{r['n']:>4} {r['lower']:>6} {r['upper']:>6} {str(r['exact']):>6}")
-    _emit(payload, args.format, lines)
+    _emit(args, {"pattern": pat.name, "rows": rows}, lines)
     return 0
 
 
@@ -191,23 +170,12 @@ def cmd_recover(args) -> int:
         raise ValueError(f"--delta {args.delta!r} has a zero denominator") from None
     g = load_h3(args.input)
     rec = recover_partition(g, args.apex, delta)
+    payload = {"input": str(args.input), "apex": args.apex, "found": rec is not None}
     if rec is None:
-        payload = {
-            "schema": SCHEMA,
-            "command": "recover",
-            "input": str(args.input),
-            "apex": args.apex,
-            "found": False,
-        }
-        _emit(payload, args.format, ["no partition recovered"])
+        _emit(args, payload, ["no partition recovered"])
         return 0
     d = rec.diagnostics
-    payload = {
-        "schema": SCHEMA,
-        "command": "recover",
-        "input": str(args.input),
-        "apex": args.apex,
-        "found": True,
+    payload |= {
         "parts": [list(p) for p in rec.partition.parts],
         "seed_triangle": list(rec.seed_triangle),
         "bucket_sizes": list(rec.bucket_sizes),
@@ -226,7 +194,7 @@ def cmd_recover(args) -> int:
         f"parts: {[list(p) for p in rec.partition.parts]}",
         f"violations: {payload['violations']}",
     ]
-    _emit(payload, args.format, lines)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -293,6 +261,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

@@ -6,8 +6,8 @@ leaves uncovered for its target pattern, and the planted partition.  Claims
 are never trusted downstream: the analysis module re-measures all of them.
 
 Each family but the Steiner systems is a rule on part labels, built by one
-private builder from the part sizes, the apex flag and the allowed sorted
-label triples; ``f1_variant`` then swaps the triples of its pair set.
+private builder from the part sizes, the apex flag and the allowed label
+triples; ``f1_variant`` then swaps the triples of its pair set.
 ``sts`` pairs ``steiner`` with claims naming one part of all t vertices.
 
 Layout convention: parts are contiguous index ranges starting at 0 and the
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional
 
 import numpy as np
@@ -190,11 +190,6 @@ def _ascending_sizes(total: int, k: int) -> list[int]:
     return [base] * (k - extra) + [base + 1] * extra
 
 
-def _descending_sizes(total: int, k: int) -> list[int]:
-    base, extra = divmod(total, k)
-    return [base + 1] * extra + [base] * (k - extra)
-
-
 def _part_index(parts: tuple[tuple[int, ...], ...], n: int) -> list[int]:
     idx = [-1] * n
     for i, p in enumerate(parts):
@@ -211,7 +206,8 @@ def _build(
 
     The parts are contiguous, of the given sizes, labelled 0, 1, ... in order;
     the apex, if any, is vertex n-1 with the label after the last part.  The
-    edges are the triples whose sorted vertex labels are among ``allowed``.
+    edges are the triples whose vertex labels, in some order, form a triple
+    of ``allowed``.
     """
     parts = _contiguous_parts(sizes)
     label = _part_index(parts, n)
@@ -219,15 +215,14 @@ def _build(
         label[n - 1] = len(parts)
     k = max(label) + 1
     ok = np.zeros((k, k, k), dtype=bool)
-    for labels in allowed:
-        for p in permutations(labels):
-            ok[p] = True
+    # labels ascend with the vertex, so a sorted triple has sorted labels
+    ok[tuple(np.sort(allowed, axis=1).T)] = True
     lab = np.array(label, dtype=np.int16)[triple_table(n)]
     claims = ConstructionClaims(
         name, n, min_codegree, tuple(uncovered),
         Tripartition(apex=n - 1 if apex else None, parts=parts), pattern_hint, params,
     )
-    return Hypergraph3.from_flags(n, ok[lab[:, 0], lab[:, 1], lab[:, 2]]), claims
+    return Hypergraph3(n, _bitmap(np.flatnonzero(ok[lab[:, 0], lab[:, 1], lab[:, 2]]))), claims
 
 
 def _triples_over(k: int, distinct) -> list[tuple[int, int, int]]:
@@ -330,7 +325,7 @@ def f2(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
     allowed += [(i, (i + 1) % 6, 6) for i in range(6)]
     m, r = divmod(n, 6)
     claimed = (2 * m - 1) if r == 0 else (2 * m + 1) if r == 5 else 2 * m
-    g, claims = _build("f2", n, _descending_sizes(n - 1, 6), True, allowed, claimed, (n - 1,), "K4-")
+    g, claims = _build("f2", n, _ascending_sizes(n - 1, 6)[::-1], True, allowed, claimed, (n - 1,), "K4-")
     # below n = 12 the residue table does not hold: claim the measured value
     return g, claims if n >= 12 else replace(claims, min_codegree=g.min_codegree())
 

@@ -184,11 +184,6 @@ class Hypergraph3:
             raise ValueError(f"not a sequence of vertex triples (array shape {t.shape})")
         return cls(n, _bitmap(_rank_rows(n, t.reshape(-1, 3))))
 
-    @classmethod
-    def from_flags(cls, n: int, flags: np.ndarray) -> "Hypergraph3":
-        """Graph whose edges are the triples of colex rank r with flags[r] true."""
-        return cls(n, _bitmap(np.flatnonzero(flags)))
-
     def _bitmap_bytes(self) -> bytes:
         # little-endian, up to the byte holding the highest edge
         if self._raw is None:

@@ -12,7 +12,9 @@ degeneracy ordering in a single forward pass with no backtracking, so a
 failed greedy run is not evidence that no embedding exists.  Every search
 fetches the host's pair table (``Hypergraph3.pair_masks``) once per call; a
 position's candidates are the unused host vertices in the table entry of
-each already-mapped pattern pair that forms an edge with it.
+each already-mapped pattern pair that forms an edge with it.  The order of
+the positions, their constraint pairs and their twin bounds form a plan,
+built once per pattern graph and anchor tuple by one cached builder.
 
 The exhaustive searches skip the work that the pattern's own symmetry makes
 redundant and return what a search without it would.  ``embed_covering``
@@ -28,7 +30,8 @@ applies to it and its lowest-index pick is unchanged.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -63,13 +66,8 @@ class Pattern:
     f: int
     r: int
     ordering: tuple[int, ...]
-    _orders: dict = field(default_factory=dict, repr=False)
-    _edge_list: tuple = field(default=(), repr=False)
-    _twin_class: tuple = field(default=(), repr=False)
-    _orbit_reps: tuple = field(default=(), repr=False)
-
-    def edge_list(self) -> tuple[tuple[int, int, int], ...]:
-        return self._edge_list
+    _twin_class: tuple[int, ...]
+    _orbit_reps: tuple[int, ...]
 
     def __repr__(self) -> str:
         return f"Pattern({self.name}, f={self.f}, r={self.r})"
@@ -151,11 +149,8 @@ def pattern(name: str, t: Optional[int] = None) -> Pattern:
 def pattern_from_graph(name: str, graph: Hypergraph3) -> Pattern:
     """Wrap an arbitrary small graph (e.g. one loaded from a .h3 file)."""
     r, ordering = degeneracy(graph)
-    pat = Pattern(name=name, graph=graph, f=graph.n, r=r, ordering=ordering)
-    object.__setattr__(pat, "_edge_list", tuple(graph.edges()))
-    object.__setattr__(pat, "_twin_class", _twin_classes(graph))
-    object.__setattr__(pat, "_orbit_reps", _orbit_representatives(pat))
-    return pat
+    twin = _twin_classes(graph)
+    return Pattern(name, graph, graph.n, r, ordering, twin, _orbit_representatives(graph, twin))
 
 
 def _twin_classes(graph: Hypergraph3) -> tuple[int, ...]:
@@ -176,7 +171,7 @@ def _twin_classes(graph: Hypergraph3) -> tuple[int, ...]:
     return tuple(label)
 
 
-def _orbit_representatives(pat: Pattern) -> tuple[int, ...]:
+def _orbit_representatives(graph: Hypergraph3, twin: tuple[int, ...]) -> tuple[int, ...]:
     """The least vertex of each orbit of Aut(F), ascending.
 
     a starts a new orbit iff no self-embedding maps an earlier representative
@@ -184,11 +179,12 @@ def _orbit_representatives(pat: Pattern) -> tuple[int, ...]:
     automorphism.  Only the representatives' plans are built, and
     ``embed_covering`` needs exactly those.
     """
-    rows, full = pat.graph.pair_masks(), (1 << pat.f) - 1
+    f = graph.n
+    rows, full = graph.pair_masks(), (1 << f) - 1
     reps: list[int] = []
-    for a in range(pat.f):
+    for a in range(f):
         if not any(
-            _backtrack(rows, _anchored_plan(pat, (r,)), [a] + [-1] * (pat.f - 1), full & ~(1 << a), 1)
+            _backtrack(rows, _plan(graph, twin, (r,)), [a] + [-1] * (f - 1), full & ~(1 << a), 1)
             for r in reps
         ):
             reps.append(a)
@@ -247,7 +243,7 @@ def embed_covering(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int
         return None
     rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~(1 << x)
     for anchor in pat._orbit_reps:
-        plan = _anchored_plan(pat, (anchor,))
+        plan = _plan(pat.graph, pat._twin_class, (anchor,))
         images = [x] + [-1] * (pat.f - 1)
         if _backtrack(rows, plan, images, free, 1):
             return {plan[i][0]: images[i] for i in range(pat.f)}
@@ -265,7 +261,7 @@ def greedy_embed(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int, 
         raise ValueError(f"vertex {x} out of range")
     if host.n < pat.f:
         return None
-    plan = _anchored_plan(pat, pat.ordering)
+    plan = _plan(pat.graph, pat._twin_class, pat.ordering)
     rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~(1 << x)
     images: list[int] = [x]
     for step in plan[1:]:
@@ -308,13 +304,15 @@ def edge_extendable(host: Hypergraph3, e: Sequence[int], pat: Pattern) -> bool:
     # abc is a host edge, so a pattern edge among the three anchors always lands on one
     for anchors in permutations(range(pat.f), 3):
         images = [a, b, c] + [-1] * (pat.f - 3)
-        if _backtrack(rows, _anchored_plan(pat, anchors), images, free, 3):
+        if _backtrack(rows, _plan(pat.graph, pat._twin_class, anchors), images, free, 3):
             return True
     return False
 
 
-def _anchored_plan(pat: Pattern, anchors: tuple[int, ...]):
-    """Static vertex order from the anchors, most-constrained first.
+# unbounded, like the pattern catalog: one small entry per pattern graph and anchor tuple searched
+@lru_cache(maxsize=None)
+def _plan(graph: Hypergraph3, twin_class: tuple[int, ...], anchors: tuple[int, ...]):
+    """Static vertex order of the pattern graph from the anchors, most-constrained first.
 
     Returns per-position (pattern_vertex, constraints, twin) where constraints
     are the pattern edges of that vertex whose other two endpoints appear
@@ -322,12 +320,9 @@ def _anchored_plan(pat: Pattern, anchors: tuple[int, ...]):
     non-anchor position holding a twin of the vertex (-1 if none, and for
     every anchor), whose image the vertex's image must exceed.
     """
-    cached = pat._orders.get(anchors)
-    if cached is not None:
-        return cached
-    edges = pat.edge_list()
+    edges = tuple(graph.edges())
     placed = list(anchors)
-    remaining = set(range(pat.f)) - set(anchors)
+    remaining = set(range(graph.n)) - set(anchors)
     while remaining:
         def score(v: int) -> tuple[int, int, int]:
             full = sum(1 for e in edges if v in e and all(u in placed or u == v for u in e))
@@ -337,16 +332,14 @@ def _anchored_plan(pat: Pattern, anchors: tuple[int, ...]):
         nxt = max(remaining, key=score)
         placed.append(nxt)
         remaining.remove(nxt)
-    table = pat.graph.pair_masks()
+    table = graph.pair_masks()
     latest: dict[int, int] = {}
     steps = []
     for i, v in enumerate(placed):
         cons = tuple((j, k) for j, k in combinations(range(i), 2) if table[placed[j]][placed[k]] >> v & 1)
         twin = -1
         if i >= len(anchors):
-            twin = latest.get(pat._twin_class[v], -1)
-            latest[pat._twin_class[v]] = i
+            twin = latest.get(twin_class[v], -1)
+            latest[twin_class[v]] = i
         steps.append((v, cons, twin))
-    plan = tuple(steps)
-    pat._orders[anchors] = plan
-    return plan
+    return tuple(steps)

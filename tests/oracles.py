@@ -179,3 +179,46 @@ def twin_classes(g):
         return tuple(p)
 
     return sorted({tuple(u for u in range(g.n) if swap(u, v) in auts) for v in range(g.n)})
+
+
+def _has(g, *t):
+    return g.bits >> triple_rank(*t) & 1 == 1
+
+
+def link_configuration(g, a, b, c, x, y):
+    """The slots of the anchored 4-set {a,b,c,x} whose pair forms an edge with y,
+    one membership test per slot."""
+    slots = {"ab": (a, b), "ac": (a, c), "bc": (b, c), "ax": (a, x), "bx": (b, x), "cx": (c, x)}
+    return frozenset(s for s, (p, q) in slots.items() if _has(g, p, q, y))
+
+
+def recover_partition(g, x):
+    """(parts, seed_triangle, bucket_sizes) of the apex recovery at x, or None.
+
+    The seed is the lexicographically first triangle of the link of x; y joins
+    the bucket of a (b, c) when its configuration is exactly the pairs ab, ac,
+    bx, cx (with a, b, c permuted alike); a vertex y other than x joins part i
+    when xyw is an edge for no w in bucket i, and must join exactly one part.
+    """
+    others = [v for v in range(g.n) if v != x]
+    seed = next((t for t in combinations(others, 3)
+                 if all(_has(g, u, v, x) for u, v in combinations(t, 2))), None)
+    if seed is None:
+        return None
+    a, b, c = seed
+    configurations = [{"ab", "ac", "bx", "cx"}, {"ab", "bc", "ax", "cx"}, {"ac", "bc", "ax", "bx"}]
+    buckets = [[a], [b], [c]]
+    for y in others:
+        if y not in seed:
+            sy = link_configuration(g, a, b, c, x, y)
+            for bucket, conf in zip(buckets, configurations):
+                if sy == conf:
+                    bucket.append(y)
+    parts = ([], [], [])
+    for y in others:
+        hits = [i for i, bucket in enumerate(buckets)
+                if not any(_has(g, x, y, w) for w in bucket if w != y)]
+        if len(hits) != 1:
+            return None
+        parts[hits[0]].append(y)
+    return tuple(map(tuple, parts)), seed, tuple(map(len, buckets))

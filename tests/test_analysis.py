@@ -19,9 +19,10 @@ from h3cover import (
     admissible_sample,
     pattern,
     recover_partition,
+    triple_rank,
     verify_construction,
 )
-from h3cover.analysis import SY_SETS, _measure_partition
+from h3cover.analysis import SY_SETS, SyClass, _measure_partition
 
 import oracles
 
@@ -327,3 +328,61 @@ def test_partition_counts_match_oracle(case):
     d = _measure_partition(g, x, parts)
     got = (d.within_part_link, d.missing_cross_link, d.tripartite_edges, d.missing_two_part)
     assert got == oracles.partition_violations(g, x, parts)
+
+
+def _f1_slots(n):
+    """f1(n) and the six pairs of the apex 4-set {a, b, c, x} that recovery anchors on."""
+    g, claims = f1(n)
+    a, b, c = (part[0] for part in claims.partition.parts)
+    return g, (a, b, c, n - 1), ((a, b), (a, c), (b, c), (a, n - 1), (b, n - 1), (c, n - 1))
+
+
+def _assert_recovery_matches_oracle(g):
+    for x in range(g.n):
+        rec = recover_partition(g, x)
+        got = None if rec is None else (rec.partition.parts, rec.seed_triangle, rec.bucket_sizes)
+        assert got == oracles.recover_partition(g, x)
+        others = [v for v in range(g.n) if v != x]
+        for a, b, c in combinations(others, 3):
+            if not all(g.contains(u, v, x) for u, v in ((a, b), (b, c), (a, c))) or g.contains(a, b, c):
+                continue
+            for y in others:
+                if y in (a, b, c):
+                    continue
+                sy = oracles.link_configuration(g, a, b, c, x, y)
+                named = [k for k, s in SY_SETS.items() if s == sy] + ["SUBSET_ONLY"]
+                label = named[0] if any(sy <= s for s in SY_SETS.values()) else "VIOLATION"
+                assert classify_sy(g, (a, b, c, x), y) == SyClass(label, sy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=5, max_value=10).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(min_value=0, max_value=(1 << comb(n, 3)) - 1),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=n - 1)),
+             max_size=3),
+)))
+def test_recovery_and_link_configurations_match_oracle(case):
+    # a uniform random host, or f1(n) with up to three slot triples (pair s
+    # of the anchored 4-set, with y) toggled, so that both found and absent
+    # partitions occur
+    n, bits, from_f1, flips = case
+    if from_f1:
+        g, quad, slots = _f1_slots(n)
+        bits = g.bits
+        for s, y in flips:
+            if y not in quad:
+                bits ^= 1 << triple_rank(*slots[s], y)
+    _assert_recovery_matches_oracle(Hypergraph3(n, bits))
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_recovery_matches_oracle_one_slot_from_f1(n):
+    # every host one slot triple away from f1(n): each configuration one slot
+    # away from S1a, S1b or S1c, mostly in hosts whose partition is still found
+    g, quad, slots = _f1_slots(n)
+    for pair in slots:
+        for y in range(n):
+            if y not in quad:
+                _assert_recovery_matches_oracle(Hypergraph3(n, g.bits ^ (1 << triple_rank(*pair, y))))

@@ -164,6 +164,19 @@ def test_recover_negative_delta_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 9.92 GiB")])
+def test_construct_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, exc):
+    # an oversize --n fails in numpy's allocator; stand in for it without allocating
+    def make(args):
+        raise exc
+
+    monkeypatch.setitem(CONSTRUCTIONS, "f1", ("n", make))
+    code, stdout, err = run(capsys, "construct", "f1", "--n", "2000", "-o", str(tmp_path / "g.h3"))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_recover_roundtrip(tmp_path, capsys):
     out = tmp_path / "f1_15.h3"
     run(capsys, "construct", "f1", "--n", "15", "-o", str(out))
