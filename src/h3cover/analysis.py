@@ -4,7 +4,7 @@ classification, and partition recovery.
 ``c2_exact`` computes, by exhaustion, the largest minimum codegree among
 n-vertex hosts in which some vertex lies in no copy of the pattern.  One
 engine serves every n <= 7: a depth-first search over edge bitmap prefixes
-with per-pair codegree counters, run for descending targets and bounded by
+with one slack counter per pair, run for descending targets and bounded by
 an optional time budget.  The witness is the numerically least edge bitmap
 among optimal hosts.
 
@@ -206,8 +206,8 @@ def _dfs_feasible(pat, n, target, deadline, stats):
     # in increasing numeric order; returns the first with an uncovered vertex
     m = comb(n, 3)
     pair_ids = [tuple(pair_rank(u, v) for u, v in combinations(t, 2)) for t in triple_table(n).tolist()]
-    counts = [0] * comb(n, 2)
-    remaining = [n - 2] * comb(n, 2)
+    # slack[p]: how many more triples of pair p may be absent with the target still reachable
+    slack = [n - 2 - target] * comb(n, 2)
 
     def rec(rank: int, bits: int) -> Optional[int]:
         stats.nodes += 1
@@ -220,21 +220,13 @@ def _dfs_feasible(pat, n, target, deadline, stats):
         ps = pair_ids[rank]
         ok = True
         for p in ps:
-            remaining[p] -= 1
-            if counts[p] + remaining[p] < target:
+            slack[p] -= 1
+            if slack[p] < 0:
                 ok = False
         found = rec(rank - 1, bits) if ok else None
-        if found is not None:
-            for p in ps:
-                remaining[p] += 1
-            return found
         for p in ps:
-            counts[p] += 1
-        found = rec(rank - 1, bits | (1 << rank))
-        for p in ps:
-            counts[p] -= 1
-            remaining[p] += 1
-        return found
+            slack[p] += 1
+        return found if found is not None else rec(rank - 1, bits | (1 << rank))
 
     return rec(m - 1, 0)
 

@@ -10,22 +10,23 @@ C(n,3)-1.  That integer is the canonical, hashable value; graphs are
 immutable and safe to share across threads.  One decode path serves every
 view: a graph turns its set bits (the edge ranks) into an int16 array of
 triples once, lazily, by binary search in the binomial columns C(v,2), C(v,3)
-(``edge_array``).  Degrees, ``min_codegree`` and ``dumps_h3`` are numpy
-passes over that array; ``contains`` reads one bit.  ``from_triples`` and
-``loads_h3`` rank whole vertex arrays at once.
+(``edge_array``).  Degrees and ``dumps_h3`` are numpy passes over that
+array; ``contains`` reads one bit.  ``from_triples`` and ``loads_h3`` (whose
+edge lines one ``np.loadtxt`` call parses) rank whole vertex arrays at once.
 
-Every pair query reads one table, built lazily from the same array
-(``pair_masks``): entry [u][v] is the vertex bitmap of the joint
+Every pair query reads one table, built lazily from the same array in one
+packed pass (``pair_masks``): entry [u][v] is the vertex bitmap of the joint
 neighbourhood of u and v.  ``pair_mask``, ``codegree`` and ``neighborhood``
-read one entry, a ``LinkGraph`` is one row, and the embedding searches of
-``patterns`` index the table directly.
+read one entry, ``min_codegree`` the least popcount, a ``LinkGraph`` is one
+row, and the embedding searches of ``patterns`` index the table directly.
 
 Two interchangeable text encodings are supported by ``dumps_h3``/``loads_h3``:
 
 * edge-list form: a header line ``n m`` followed by m lines ``a b c`` with
-  0-based vertices ascending within each line.  ``#`` starts a comment and
-  blank lines are ignored.  Edges are written in colex order; an edge listed
-  twice is an error.
+  0-based unsigned vertices ascending within each line.  ``#`` starts a
+  comment and blank lines are ignored; a line ends at ``\n``, ``\r\n`` or a
+  bare ``\r``, after which more text on the same line is an error.  Edges are
+  written in colex order; an edge listed twice is an error.
 * hex form: a header line ``n: <vertices>`` followed by the raw edge bitmap
   as a hex string (most significant digits first; may wrap over lines).
 
@@ -34,6 +35,7 @@ Both forms round-trip bit-exactly.
 
 from __future__ import annotations
 
+import io
 import re
 from itertools import chain, combinations, permutations
 from math import comb, isqrt
@@ -64,9 +66,6 @@ EXACT_MODE_CAP = 8
 
 # edges() and dumps_h3 turn this many rows of the edge array into Python objects at a time
 _CHUNK = 4096
-
-# the pair table's boolean (pair, vertex) matrix is built in blocks of at most this many bytes
-_MASK_BLOCK_BYTES = 1 << 24
 
 
 def triple_rank(a: int, b: int, c: int) -> int:
@@ -217,29 +216,20 @@ class Hypergraph3:
         for lo in range(0, len(t), _CHUNK):
             yield from map(tuple, t[lo:lo + _CHUNK].tolist())
 
-    def _pair_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        # per edge and pair in it: the pair's colex rank, and the edge's third vertex
-        t, c2 = self.edge_array(), _binomials(self.n)[0]
-        keys = np.concatenate([c2[t[:, j]] + t[:, i] for i, j in ((0, 1), (0, 2), (1, 2))])
-        return keys, np.concatenate([t[:, 2], t[:, 1], t[:, 0]])
-
     def pair_masks(self) -> tuple[tuple[int, ...], ...]:
         """The pair table: entry [u][v] is the vertex bitmap of the w such that
         uvw is an edge, the same int object as [v][u]; entry [u][u] is 0."""
         if self._pair_masks is None:
-            # pair-rank indexed bitmaps, packed from blocks of rows of the boolean
-            # (pair, vertex) matrix, then a 0 at rank C(n,2) for the diagonal
-            n, (keys, third) = self.n, self._pair_keys()
-            rows, masks = max(1, _MASK_BLOCK_BYTES // max(n, 1)), []
-            for lo in range(0, comb(n, 2), rows):
-                block = np.zeros((min(rows, comb(n, 2) - lo), n), dtype=bool)
-                inside = (keys >= lo) & (keys < lo + rows)
-                block[keys[inside] - lo, third[inside]] = True
-                packed = np.packbits(block, axis=1, bitorder="little")
-                masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
-            masks.append(0)
+            # row r packs the bitmap of the pair of rank r; row C(n,2) stays 0 for the diagonal
+            n, t = self.n, self.edge_array()
+            c2 = _binomials(n)[0]
+            keys = np.concatenate([c2[t[:, j]] + t[:, i] for i, j in ((0, 1), (0, 2), (1, 2))])
+            third = np.concatenate([t[:, 2], t[:, 1], t[:, 0]])
+            packed = np.zeros((comb(n, 2) + 1, (n + 7) // 8), dtype=np.uint8)
+            np.bitwise_or.at(packed, (keys, third >> 3), np.uint8(1) << (third & 7).astype(np.uint8))
+            masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
             v = np.arange(n)
-            rank = _binomials(n)[0][np.maximum.outer(v, v)] + np.minimum.outer(v, v)
+            rank = c2[np.maximum.outer(v, v)] + np.minimum.outer(v, v)
             np.fill_diagonal(rank, comb(n, 2))
             self._pair_masks = tuple(tuple(map(masks.__getitem__, row)) for row in rank.tolist())
         return self._pair_masks
@@ -267,9 +257,8 @@ class Hypergraph3:
 
     def min_codegree(self) -> int:
         """Minimum codegree over all pairs; 0 when there are no pairs."""
-        if self.n < 2:
-            return 0
-        return int(np.bincount(self._pair_keys()[0], minlength=comb(self.n, 2)).min())
+        table = self.pair_masks()
+        return min((mask.bit_count() for u, row in enumerate(table) for mask in row[u + 1:]), default=0)
 
     def min_degree(self) -> int:
         return int(self._degrees().min()) if self.n else 0
@@ -443,10 +432,6 @@ def dumps_h3(g: Hypergraph3, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'hex')")
 
 
-# a non-blank line that is not three vertex numbers (newlines excluded from \s)
-_BAD_EDGE_LINE = re.compile(r"(?m)^(?![^\S\n]*(?:[0-9]{1,9}[^\S\n]+){2}[0-9]{1,9}[^\S\n]*$).*\S.*$")
-
-
 def loads_h3(text: str) -> Hypergraph3:
     if "#" in text:
         text = re.sub(r"#[^\n]*", "", text)
@@ -461,13 +446,15 @@ def loads_h3(text: str) -> Hypergraph3:
     if len(parts) != 2:
         raise ValueError(f"bad header line {head!r}: expected 'n m' or 'n: <count>'")
     n, m = int(parts[0]), int(parts[1])
-    if bad := _BAD_EDGE_LINE.search(body):
-        raise ValueError(f"bad edge line {bad.group().strip()!r}")
-    # every non-blank line holds three numbers; fromstring reads blank input as [0]
-    flat = np.zeros(0, np.int32) if body.isspace() else np.fromstring(body, dtype=np.int32, sep=" ")
-    if len(flat) != 3 * m:
-        raise ValueError(f"header promises {m} edges, found {len(flat) // 3}")
-    ranks = _rank_rows(n, flat.reshape(-1, 3))
+    if "+" in body or "-" in body:
+        raise ValueError("signed number on an edge line")
+    # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body
+    t = np.zeros((0, 3), np.int32)
+    if body.strip():
+        t = np.loadtxt(io.BytesIO(body.encode()), dtype=np.int32, ndmin=2)
+    if t.shape != (m, 3):
+        raise ValueError(f"header promises {m} edges, found {t.shape[0]} lines of {t.shape[1]} vertices")
+    ranks = _rank_rows(n, t)
     g = Hypergraph3(n, _bitmap(ranks))
     if g.num_edges != m:
         ranks.sort()

@@ -17,14 +17,15 @@ the positions, their constraint pairs and their twin bounds form a plan,
 built once per pattern graph and anchor tuple by one cached builder.
 
 The exhaustive searches skip the work that the pattern's own symmetry makes
-redundant and return what a search without it would.  ``embed_covering``
-puts x only at the least vertex of each orbit of Aut(F), because an anchor
-fails iff its whole orbit does.  Twins (u, v with the swap (u v) an
-automorphism) placed after the anchors must take increasing images; the
-search returns the least image sequence in plan order, whose twin images
-already increase.  ``uncovered_vertices`` credits every vertex of a found
-copy as covered.  ``greedy_embed`` anchors every position, so no twin bound
-applies to it and its lowest-index pick is unchanged.
+redundant and return what a search without it would.  ``embed_covering`` puts
+x, and ``edge_extendable`` the edge's least vertex, only at the least vertex
+of each orbit of Aut(F), because an anchor fails iff its whole orbit does.
+Twins (u, v with the swap (u v) an automorphism) placed after the anchors
+must take increasing images; the search returns the least image sequence in
+plan order, whose twin images already increase.  ``uncovered_vertices``
+credits every vertex of a found copy as covered.  ``greedy_embed`` anchors
+every position, so no twin bound applies to it and its lowest-index pick is
+unchanged.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def edge_extendable(host: Hypergraph3, e: Sequence[int], pat: Pattern) -> bool:
         return False
     rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~((1 << a) | (1 << b) | (1 << c))
     # abc is a host edge, so a pattern edge among the three anchors always lands on one
-    for anchors in permutations(range(pat.f), 3):
+    for anchors in (t for t in permutations(range(pat.f), 3) if t[0] in pat._orbit_reps):
         images = [a, b, c] + [-1] * (pat.f - 3)
         if _backtrack(rows, _plan(pat.graph, pat._twin_class, anchors), images, free, 3):
             return True

@@ -8,13 +8,39 @@ dual route.
 
 from itertools import combinations, permutations
 
-from h3cover import triple_rank
+from h3cover import Hypergraph3, triple_rank
 
 
 def triples_of(g):
     """Edges read straight off the bitmap: each triple whose rank bit is set, in colex order."""
     ranked = sorted(combinations(range(g.n), 3), key=lambda t: triple_rank(*t))
     return [t for t in ranked if g.bits >> triple_rank(*t) & 1]
+
+
+def loads_h3(text):
+    """The edge-list .h3 reader, one line at a time: ``#`` starts a comment, blank
+    lines are skipped, the first line left is the header ``n m``, and every other
+    line is three distinct unsigned decimal vertices below n, no triple twice."""
+    lines = [line.split("#", 1)[0].strip() for line in text.split("\n")]
+    lines = [line for line in lines if line]
+    if not lines:
+        raise ValueError("empty .h3 input")
+    head, body = lines[0], lines[1:]
+    n, m = map(int, head.split())  # a header of other than two numbers raises too
+    ranks = set()
+    for line in body:
+        tokens = line.split()
+        if len(tokens) != 3 or not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ValueError(f"bad edge line {line!r}")
+        a, b, c = map(int, tokens)
+        if len({a, b, c}) != 3 or max(a, b, c) >= n:
+            raise ValueError(f"not a triple on {n} vertices: {line!r}")
+        if triple_rank(a, b, c) in ranks:
+            raise ValueError(f"edge {line!r} listed twice")
+        ranks.add(triple_rank(a, b, c))
+    if len(ranks) != m:
+        raise ValueError(f"header promises {m} edges, found {len(ranks)}")
+    return Hypergraph3(n, sum(1 << r for r in ranks))
 
 
 def codegree(g, u, v):

@@ -5,11 +5,13 @@ from math import comb
 
 from h3cover import (
     Hypergraph3,
+    admissible_sample,
     build,
     canonical_key,
     dumps_h3,
     edit_distance,
     f1,
+    f1_variant,
     f3,
     loads_h3,
     pair_rank,
@@ -17,7 +19,6 @@ from h3cover import (
     triple_unrank,
 )
 
-import h3cover.core as core
 import oracles
 
 
@@ -120,12 +121,15 @@ def test_codegree_empty_graph():
     assert g.codegree(0, 4) == 0
 
 
-def test_pair_masks_built_in_blocks(monkeypatch):
-    g, _ = f1(13)
-    whole = [g.pair_mask(u, v) for u, v in combinations(range(13), 2)]
-    monkeypatch.setattr(core, "_MASK_BLOCK_BYTES", 40)  # three pairs' rows per block
-    blocked = Hypergraph3(13, g.bits)
-    assert [blocked.pair_mask(u, v) for u, v in combinations(range(13), 2)] == whole
+@pytest.mark.parametrize("g", [
+    f1(13)[0],
+    f1_variant("0", admissible_sample("0", 30, 1), 30)[0],
+], ids=["f1_13", "f1e_30"])
+def test_pair_masks_match_membership(g):
+    # packed rows of 2 and 4 bytes: bits past the first byte of a row must land in it
+    edges = set(oracles.triples_of(g))
+    for u, v in combinations(range(g.n), 2):
+        assert g.pair_mask(u, v) == sum(1 << w for w in range(g.n) if tuple(sorted((u, v, w))) in edges)
 
 
 def test_codegree_errors():
@@ -301,6 +305,9 @@ def test_loads_rejects_bad_input():
         loads_h3("4 2\n0 1\n1 2 3 0\n")  # token count right, lines wrong
     with pytest.raises(ValueError):
         loads_h3("4 1\n0 1 x\n")
+    for signed in ("+0 1 2", "-0 1 2"):
+        with pytest.raises(ValueError):
+            loads_h3(f"4 1\n{signed}\n")
 
 
 def test_loads_rejects_duplicate_edge_lines():
@@ -461,3 +468,50 @@ def test_loads_returns_a_graph_or_raises_value_error(text):
     except ValueError:
         return
     assert loads_h3(dumps_h3(g)) == g
+
+
+_TOKENS = ["0", "1", "2", "3", "4", "5", "01", "+1", "-1", "x", "9999999999"]
+
+
+@st.composite
+def h3_texts(draw):
+    """Edge-list .h3 texts: vertex triples (some with leading zeros) and stray
+    tokens, space and tab separators, LF and CRLF line ends, comments and blank
+    lines, and a header that mostly counts the edge lines right."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    seps = st.text(alphabet=" \t", min_size=1, max_size=2)
+
+    def join(tokens):
+        return draw(st.sampled_from(["", " ", "\t"])) + "".join(
+            tok + (draw(seps) if i < len(tokens) - 1 else "") for i, tok in enumerate(tokens))
+
+    kinds = draw(st.lists(st.sampled_from(["triple", "triple", "tokens", "blank", "comment"]), max_size=6))
+    body = []
+    for kind in kinds:
+        if kind == "triple":
+            vs = draw(st.lists(st.integers(0, max(n - 1, 2)), min_size=3, max_size=3, unique=True))
+            line = join([draw(st.sampled_from([str(v), str(v), "0" + str(v)])) for v in vs])
+        elif kind == "tokens":
+            line = join(draw(st.lists(st.sampled_from(_TOKENS), min_size=2, max_size=4)))
+        else:
+            line = draw(st.sampled_from(["", " ", "\t "])) + ("# 1 2 3" if kind == "comment" else "")
+        body.append(line + draw(st.sampled_from(["", "", " # x"])))
+    m = sum(kind in ("triple", "tokens") for kind in kinds)
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        m = draw(st.integers(min_value=0, max_value=5))
+    head = join([str(n), str(m)]) + draw(st.sampled_from(["", "# n m"]))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in range(len(body) + 1)]
+    text = "".join(line + end for line, end in zip([head, *body], ends))
+    return text[:-len(ends[-1])] if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(h3_texts())
+def test_loads_matches_line_by_line_reader(text):
+    try:
+        want = oracles.loads_h3(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            loads_h3(text)
+    else:
+        assert loads_h3(text) == want

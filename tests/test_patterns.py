@@ -382,6 +382,28 @@ def test_edge_extendable_matches_brute_force(host, name):
         assert edge_extendable(host, e, pat) == oracles.extends_edge(host, e, pat)
 
 
+@pytest.mark.parametrize(
+    "family, name, edge, unreduced_calls",
+    # entries into _backtrack, recursion included, for one edge in no copy when every
+    # ordered anchor triple is tried: f4(24)/C5 470; f32tri(24)/F32 372
+    [(f4, "C5", (0, 1, 12), 470 // 4), (f32_tripartite, "F32", (0, 1, 8), 372 // 2)],
+)
+def test_edge_extendable_work_guard(monkeypatch, family, name, edge, unreduced_calls):
+    host, _ = family(24)
+    pat = pattern(name)
+    calls = 0
+    backtrack = patterns._backtrack
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return backtrack(*args)
+
+    monkeypatch.setattr(patterns, "_backtrack", counting)
+    assert not edge_extendable(host, edge, pat)
+    assert calls <= unreduced_calls
+
+
 def test_edge_extendable_rejects_non_edge():
     with pytest.raises(ValueError):
         edge_extendable(build(4, [(0, 1, 2)]), (0, 1, 3), pattern("K4"))
