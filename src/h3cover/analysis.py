@@ -218,12 +218,9 @@ def _dfs_feasible(pat, n, target, deadline, stats):
             stats.leaves += 1
             return bits if uncovered_vertices(Hypergraph3(n, bits), pat) else None
         ps = pair_ids[rank]
-        ok = True
         for p in ps:
             slack[p] -= 1
-            if slack[p] < 0:
-                ok = False
-        found = rec(rank - 1, bits) if ok else None
+        found = rec(rank - 1, bits) if min(map(slack.__getitem__, ps)) >= 0 else None
         for p in ps:
             slack[p] += 1
         return found if found is not None else rec(rank - 1, bits | (1 << rank))

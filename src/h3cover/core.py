@@ -226,7 +226,10 @@ class Hypergraph3:
             keys = np.concatenate([c2[t[:, j]] + t[:, i] for i, j in ((0, 1), (0, 2), (1, 2))])
             third = np.concatenate([t[:, 2], t[:, 1], t[:, 0]])
             packed = np.zeros((comb(n, 2) + 1, (n + 7) // 8), dtype=np.uint8)
-            np.bitwise_or.at(packed, (keys, third >> 3), np.uint8(1) << (third & 7).astype(np.uint8))
+            flat = keys.astype(np.int64) if packed.size >> 31 else keys  # int32 below 2**31 bytes
+            flat *= packed.shape[1]
+            flat += third >> 3  # the byte of row keys that holds bit third
+            np.bitwise_or.at(packed.reshape(-1), flat, np.uint8(1) << (third & 7).astype(np.uint8))
             masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
             v = np.arange(n)
             rank = c2[np.maximum.outer(v, v)] + np.minimum.outer(v, v)
@@ -319,10 +322,7 @@ class LinkGraph:
         self._row = row
 
     def contains(self, u: int, v: int) -> bool:
-        if u == v:
-            raise ValueError(f"not a pair of distinct vertices: {(u, v)}")
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self._check_pair(u, v)
         return self._row[u] >> v & 1 == 1
 
     def pairs(self) -> Iterator[tuple[int, int]]:
@@ -354,8 +354,8 @@ class LinkGraph:
                     return a, b, (common & -common).bit_length() - 1
         return None
 
-    # the owner's range check; it reads only self.n, which the link shares
-    _check_vertex = Hypergraph3._check_vertex
+    # the owner's range checks; they read only self.n, which the link shares
+    _check_vertex, _check_pair = Hypergraph3._check_vertex, Hypergraph3._check_pair
 
     def __repr__(self) -> str:
         return f"LinkGraph(x={self.x}, pairs={self.num_pairs})"
@@ -446,8 +446,10 @@ def loads_h3(text: str) -> Hypergraph3:
     if len(parts) != 2:
         raise ValueError(f"bad header line {head!r}: expected 'n m' or 'n: <count>'")
     n, m = int(parts[0]), int(parts[1])
-    if "+" in body or "-" in body:
-        raise ValueError("signed number on an edge line")
+    # digits and ASCII whitespace only: loadtxt alone would accept signs, and some numpy
+    # versions cast 1.9 or 1e0 to int
+    if bad := body.encode().translate(None, b"0123456789 \t\n\r\v\f\x1c\x1d\x1e\x1f"):
+        raise ValueError(f"edge lines hold only unsigned decimal vertices, found {bad.decode()[0]!r}")
     # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body
     t = np.zeros((0, 3), np.int32)
     if body.strip():

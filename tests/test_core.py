@@ -292,6 +292,7 @@ def test_forms_agree():
     assert loads_h3(dumps_h3(g, "text")) == loads_h3(dumps_h3(g, "hex"))
 
 
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # the warnings filter a CLI run has
 def test_loads_rejects_bad_input():
     with pytest.raises(ValueError):
         loads_h3("")
@@ -305,9 +306,9 @@ def test_loads_rejects_bad_input():
         loads_h3("4 2\n0 1\n1 2 3 0\n")  # token count right, lines wrong
     with pytest.raises(ValueError):
         loads_h3("4 1\n0 1 x\n")
-    for signed in ("+0 1 2", "-0 1 2"):
+    for line in ("+0 1 2", "-0 1 2", "0 1.0 2", "0 1.9 2", "0 1e0 2", "0 .2e1 1", "0\xa01 2"):
         with pytest.raises(ValueError):
-            loads_h3(f"4 1\n{signed}\n")
+            loads_h3(f"4 1\n{line}\n")
 
 
 def test_loads_rejects_duplicate_edge_lines():
@@ -323,6 +324,7 @@ def test_loads_blank_and_commented_lines():
     g = loads_h3("\n# leading\n 5 2 # header\n\n 3 4 2 \n\t\n0 1 2#x\n  \n")
     assert list(g.edges()) == [(0, 1, 2), (2, 3, 4)]
     assert loads_h3("6 0\n  \n") == Hypergraph3(6, 0)
+    assert list(loads_h3("4 1\n0\x1c1\v2\f\n\x1f\n").edges()) == [(0, 1, 2)]  # ASCII whitespace separates
 
 
 # -- property tests ------------------------------------------------------------
@@ -470,7 +472,7 @@ def test_loads_returns_a_graph_or_raises_value_error(text):
     assert loads_h3(dumps_h3(g)) == g
 
 
-_TOKENS = ["0", "1", "2", "3", "4", "5", "01", "+1", "-1", "x", "9999999999"]
+_TOKENS = ["0", "1", "2", "3", "4", "5", "01", "+1", "-1", "1.0", "1e0", ".2e1", "x", "9999999999"]
 
 
 @st.composite
