@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from typing import Iterable, Optional
 
 import numpy as np
@@ -209,6 +210,8 @@ def _build(
     edges are the triples whose vertex labels, in some order, form a triple
     of ``allowed``.
     """
+    # the rank table first: numpy refuses an oversize n at once, before any O(n) Python work
+    table = triple_table(n)
     parts = _contiguous_parts(sizes)
     label = _part_index(parts, n)
     if apex:
@@ -217,7 +220,7 @@ def _build(
     ok = np.zeros((k, k, k), dtype=bool)
     # labels ascend with the vertex, so a sorted triple has sorted labels
     ok[tuple(np.sort(allowed, axis=1).T)] = True
-    lab = np.array(label, dtype=np.int16)[triple_table(n)]
+    lab = np.array(label, dtype=np.int16)[table]
     claims = ConstructionClaims(
         name, n, min_codegree, tuple(uncovered),
         Tripartition(apex=n - 1 if apex else None, parts=parts), pattern_hint, params,
@@ -254,6 +257,8 @@ def _variant_partition(case: str, n: int) -> Tripartition:
         raise ValueError(f"unknown case {case!r}")
     if n % 3 != _CASE_RESIDUE[case]:
         raise ValueError(f"case {case!r} needs n === {_CASE_RESIDUE[case]} (mod 3), got n={n}")
+    # size the rank table that _build fills: numpy refuses an oversize n at once
+    np.empty((comb(n, 3), 3), dtype=np.int16)
     m = n // 3
     sizes = {
         "0": (m - 1, m, m),

@@ -132,7 +132,9 @@ def triple_table(n: int) -> np.ndarray:
 
 def _rank_rows(n: int, t: np.ndarray) -> np.ndarray:
     """int64 colex ranks of the rows of an (m, 3) vertex array, sorted in place."""
-    t.sort(axis=1)
+    # dumps_h3 writes every row ascending; the check costs a tenth of the sort
+    if not (t[:, :2] < t[:, 1:]).all():
+        t.sort(axis=1)
     bad = (t[:, 0] < 0) | (t[:, 2] >= n) | (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
     if bad.any():
         raise ValueError(f"not a valid triple on {n} vertices: {tuple(t[bad.argmax()].tolist())}")
@@ -160,7 +162,7 @@ def _set_bits(raw: bytes) -> np.ndarray:
 class Hypergraph3:
     """An immutable 3-graph: a vertex count and an edge bitmap."""
 
-    __slots__ = ("n", "bits", "_raw", "_triples", "_pair_masks")
+    __slots__ = ("n", "bits", "_raw", "_triples", "_pair_masks", "_twin_masks")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
@@ -172,6 +174,8 @@ class Hypergraph3:
         self._raw: Optional[bytes] = None
         self._triples: Optional[np.ndarray] = None
         self._pair_masks: Optional[tuple[tuple[int, ...], ...]] = None
+        # bitmaps of the twin classes of two or more vertices, set by patterns at a covering miss
+        self._twin_masks: Optional[tuple[int, ...]] = None
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[Sequence[int]]) -> "Hypergraph3":

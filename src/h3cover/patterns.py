@@ -26,6 +26,19 @@ plan order, whose twin images already increase.  ``uncovered_vertices``
 credits every vertex of a found copy as covered.  ``greedy_embed`` anchors
 every position, so no twin bound applies to it and its lowest-index pick is
 unchanged.
+
+The host's symmetry is used the same way.  The twin test that serves the
+pattern also splits the host into twin classes.  ``uncovered_vertices``
+builds them at its first miss that leaves a vertex unresolved and caches
+them on the host: a twin of a covered vertex is covered, a twin of an
+uncovered one uncovered, so each class then costs at most one search.
+Built up front, the pass would cost more than it saves on the fresh small
+hosts of the exact search's leaves.  Once the classes exist,
+``embed_covering`` and ``edge_extendable`` try at each plan position only
+the least free vertex of each class.  With the anchors placed, swapping two
+free twins moves no placed image, so the least image sequence, which the
+search returns, already takes the least free twin at every position, and
+the returned dict is unchanged.
 """
 
 from __future__ import annotations
@@ -159,17 +172,33 @@ def _twin_classes(graph: Hypergraph3) -> tuple[int, ...]:
 
     Swapping u and v is an automorphism iff, for every other vertex w, the
     table entries [u][w] and [v][w] agree outside u and v.  Conjugating one
-    such transposition by another gives a third, so twins form classes.
+    such transposition by another gives a third, so twins form classes: only
+    the least vertex of a class is compared with later vertices, and only
+    with those of its own degree.  Serves pattern graphs and hosts alike.
     """
     rows, n = graph.pair_masks(), graph.n
+    degree = graph._degrees().tolist()
     label = list(range(n))
-    for u, v in combinations(range(n), 2):
-        keep = ~((1 << u) | (1 << v))
-        if label[v] == v and all(
-            rows[u][w] & keep == rows[v][w] & keep for w in range(n) if w != u and w != v
-        ):
-            label[v] = label[u]
+    for u in range(n):
+        if label[u] != u:
+            continue
+        for v in range(u + 1, n):
+            if label[v] != v or degree[v] != degree[u]:
+                continue
+            keep = ~((1 << u) | (1 << v))
+            if all(rows[u][w] & keep == rows[v][w] & keep for w in range(n) if w != u and w != v):
+                label[v] = u
     return tuple(label)
+
+
+def _host_twins(host: Hypergraph3) -> tuple[int, ...]:
+    """Bitmaps of the host's twin classes of two or more vertices, built once per host."""
+    if host._twin_masks is None:
+        classes: dict[int, int] = {}
+        for v, least in enumerate(_twin_classes(host)):
+            classes[least] = classes.get(least, 0) | 1 << v
+        host._twin_masks = tuple(c for c in classes.values() if c & (c - 1))
+    return host._twin_masks
 
 
 def _orbit_representatives(graph: Hypergraph3, twin: tuple[int, ...]) -> tuple[int, ...]:
@@ -221,12 +250,18 @@ def _candidates(rows, step, images: list[int], free: int) -> int:
     return free
 
 
-def _backtrack(rows, plan, images: list[int], free: int, pos: int) -> bool:
+def _backtrack(rows, plan, images: list[int], free: int, pos: int, twins: tuple[int, ...] = ()) -> bool:
     if pos == len(plan):
         return True
-    for v in _iter_bits(_candidates(rows, plan[pos], images, free)):
+    cand = _candidates(rows, plan[pos], images, free)
+    for c in twins:
+        # the anchors are placed, so swapping two free host twins moves no placed image:
+        # of each class only the least free twin is tried
+        c &= free
+        cand &= ~(c & (c - 1))
+    for v in _iter_bits(cand):
         images[pos] = v
-        if _backtrack(rows, plan, images, free & ~(1 << v), pos + 1):
+        if _backtrack(rows, plan, images, free & ~(1 << v), pos + 1, twins):
             return True
     return False
 
@@ -236,17 +271,19 @@ def embed_covering(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int
 
     Exhaustive: tries x at the least vertex of each automorphism orbit of
     the pattern and backtracks over the rest, pruning candidates through
-    joint pair neighbourhoods and the twin order.
+    joint pair neighbourhoods, the pattern's twin order and, once
+    ``uncovered_vertices`` has built them, the host's twin classes.
     """
     if not 0 <= x < host.n:
         raise ValueError(f"vertex {x} out of range")
     if host.n < pat.f:
         return None
     rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~(1 << x)
+    twins = host._twin_masks or ()
     for anchor in pat._orbit_reps:
         plan = _plan(pat.graph, pat._twin_class, (anchor,))
         images = [x] + [-1] * (pat.f - 1)
-        if _backtrack(rows, plan, images, free, 1):
+        if _backtrack(rows, plan, images, free, 1, twins):
             return {plan[i][0]: images[i] for i in range(pat.f)}
     return None
 
@@ -278,20 +315,31 @@ def greedy_embed(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int, 
 def uncovered_vertices(host: Hypergraph3, pat: Pattern) -> tuple[int, ...]:
     """Vertices through which no pattern copy passes, ascending.
 
-    Every vertex of a copy found through one vertex is covered too, so the
-    search runs only through vertices that no earlier copy covered.
+    Every vertex of a copy found through one vertex is covered too.  A twin
+    of a covered vertex is covered and a twin of an uncovered one uncovered,
+    so once the host's twin classes are known each class needs at most one
+    search.  They are built at the first miss that leaves a vertex
+    unresolved: a host whose only miss is its last vertex never pays for them.
     """
-    covered, uncovered = 0, []
+    full = (1 << host.n) - 1
+    covered = missed = 0
     for x in range(host.n):
-        if covered >> x & 1:
+        if (covered | missed) >> x & 1:
             continue
         emb = embed_covering(host, x, pat)
         if emb is None:
-            uncovered.append(x)
+            missed |= 1 << x
+            if host._twin_masks is None and covered | missed != full:
+                _host_twins(host)
         else:
             for v in emb.values():
                 covered |= 1 << v
-    return tuple(uncovered)
+        for c in host._twin_masks or ():
+            if covered & c:
+                covered |= c
+            elif missed & c:
+                missed |= c
+    return tuple(_iter_bits(missed))
 
 
 def edge_extendable(host: Hypergraph3, e: Sequence[int], pat: Pattern) -> bool:
@@ -302,10 +350,11 @@ def edge_extendable(host: Hypergraph3, e: Sequence[int], pat: Pattern) -> bool:
     if host.n < pat.f:
         return False
     rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~((1 << a) | (1 << b) | (1 << c))
+    twins = host._twin_masks or ()
     # abc is a host edge, so a pattern edge among the three anchors always lands on one
     for anchors in (t for t in permutations(range(pat.f), 3) if t[0] in pat._orbit_reps):
         images = [a, b, c] + [-1] * (pat.f - 3)
-        if _backtrack(rows, _plan(pat.graph, pat._twin_class, anchors), images, free, 3):
+        if _backtrack(rows, _plan(pat.graph, pat._twin_class, anchors), images, free, 3, twins):
             return True
     return False
 

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import h3cover
 from h3cover import Hypergraph3, load_h3, loads_h3, dumps_h3, pattern, write_h3
 from h3cover.cli import CONSTRUCTIONS, main
 
@@ -175,6 +181,26 @@ def test_construct_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, exc):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("name", [name for name, (size, _) in CONSTRUCTIONS.items() if size == "n"])
+def test_construct_oversize_n_exits_2_at_once(tmp_path, name):
+    # a child process capped at 1 GiB of address space, so a program that starts
+    # O(n) work cannot exhaust the machine running the suite
+    env = {**os.environ, "PYTHONPATH": str(Path(h3cover.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "h3cover.cli", "construct", name, "--n", "100000000", "-o", str(tmp_path / "g.h3")],
+        capture_output=True, text=True, timeout=20, env=env, preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    # refused for the size of its rank table, not after per-vertex lists filled the cap
+    assert "out of memory" not in proc.stderr
 
 
 def test_recover_roundtrip(tmp_path, capsys):

@@ -1,14 +1,16 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from h3cover import (
     Hypergraph3,
     build,
+    c2_exact,
     degeneracy,
     edge_extendable,
     embed_covering,
@@ -196,6 +198,93 @@ def test_symmetry_reduction_work_guard(monkeypatch, family, name, unreduced_call
     assert calls <= unreduced_calls // 3
 
 
+# -- host twins ---------------------------------------------------------------------
+
+
+def _drawn_hosts():
+    """Seeded hosts on 5..8 vertices: random ones of several densities, and
+    part-label hosts (each sorted label triple in or out), in which any two
+    vertices of one part are twins."""
+    rng = random.Random(9)
+    hosts = []
+    for n in range(5, 9):
+        for density in (0.3, 0.6, 0.85):
+            hosts.append(Hypergraph3(n, sum(1 << r for r in range(comb(n, 3)) if rng.random() < density)))
+        for parts in (2, 3, 3):
+            label = sorted(rng.randrange(parts) for _ in range(n))
+            allowed = {t for t in combinations_with_replacement(range(parts), 3) if rng.random() < 0.6}
+            hosts.append(build(n, oracles.labelled_triples(label, allowed.__contains__)))
+    return hosts
+
+
+DRAWN_HOSTS = _drawn_hosts()
+
+
+@pytest.mark.parametrize("host", DRAWN_HOSTS, ids=repr)
+def test_host_twin_classes_match_brute_force(host):
+    classes = {}
+    for v, least in enumerate(patterns._twin_classes(host)):
+        classes.setdefault(least, []).append(v)
+    assert all(least == members[0] for least, members in classes.items())
+    assert sorted(map(tuple, classes.values())) == oracles.twin_classes(host)
+
+
+@pytest.mark.parametrize("host", DRAWN_HOSTS, ids=repr)
+def test_host_twins_change_no_answer(host):
+    # a host with its classes cached answers exactly as a fresh one, which has none
+    for name in ("K4", "K4-", "C5", "F32"):
+        pat = pattern(name)
+        assert uncovered_vertices(Hypergraph3(host.n, host.bits), pat) == oracles.uncovered(host, pat)
+        fresh, cached = Hypergraph3(host.n, host.bits), Hypergraph3(host.n, host.bits)
+        patterns._host_twins(cached)
+        for x in range(host.n):
+            emb = embed_covering(cached, x, pat)
+            assert fresh._twin_masks is None and emb == embed_covering(fresh, x, pat), (name, x)
+            assert (emb is not None) == oracles.embeds_through(host, x, pat), (name, x)
+        for e in host.edges():
+            assert edge_extendable(cached, e, pat) == oracles.extends_edge(host, e, pat), (name, e)
+
+
+@pytest.mark.parametrize(
+    "family, name, unreduced_calls",
+    # entries into _backtrack, recursion included, with the pattern's symmetry
+    # alone: f4(36)/C5 265,354; f32tri(36)/F32 171,288
+    [(f4, "C5", 265_354), (f32_tripartite, "F32", 171_288)],
+)
+def test_host_twin_work_guard(monkeypatch, family, name, unreduced_calls):
+    host, claims = family(36)
+    pat = pattern(name)
+    calls = 0
+    backtrack = patterns._backtrack
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return backtrack(*args)
+
+    monkeypatch.setattr(patterns, "_backtrack", counting)
+    assert uncovered_vertices(host, pat) == claims.uncovered
+    assert calls <= unreduced_calls // 10
+
+
+def test_exact_search_leaves_skip_the_host_twin_pass(monkeypatch):
+    # the pass runs at a miss with vertices left, which ends a target's search:
+    # at most once per target tried, never once per leaf
+    pat = pattern("K4")
+    passes = 0
+    twin_classes = patterns._twin_classes
+
+    def counting(graph):
+        nonlocal passes
+        passes += 1
+        return twin_classes(graph)
+
+    monkeypatch.setattr(patterns, "_twin_classes", counting)
+    rep = c2_exact(pat, 6)
+    assert rep.graphs_scanned > 100
+    assert passes <= 6 - 2 - rep.value + 1
+
+
 # -- embed_covering --------------------------------------------------------------
 
 
@@ -347,6 +436,8 @@ def test_uncovered_f4_is_first_half():
 def test_uncovered_f1_is_apex():
     g, claims = f1(12)
     assert uncovered_vertices(g, pattern("K4")) == (claims.partition.apex,)
+    # the apex is the last vertex, so its miss leaves nothing to resolve with twin classes
+    assert g._twin_masks is None
 
 
 def test_edge_extendable_k5():
