@@ -5,13 +5,17 @@ classification, and partition recovery.
 n-vertex hosts in which some vertex lies in no copy of the pattern.  One
 engine serves every n <= 7: a depth-first search over edge bitmap prefixes
 with one slack counter per pair, run for descending targets and bounded by
-an optional time budget.  The witness is the numerically least edge bitmap
-among optimal hosts.
+an optional time budget.  A leaf host leaves a vertex uncovered when every
+copy of the pattern through that vertex has an absent edge; the copies'
+edge and vertex bitmaps are read once per search off core's table of the
+n! vertex relabelings.  The witness is the numerically least edge bitmap
+among optimal hosts, re-checked with the covering search of ``patterns``.
 
 The link configuration of an outside vertex y against an anchored 4-set
-{a, b, c, x} is bit y of six entries of the host's pair table, one per pair
-of the 4-set.  ``classify_sy`` reads those bits; ``recover_partition`` builds
-each of its three buckets as one AND of the six entries or their complements.
+{a, b, c, x} is which of the six pairs of the 4-set form an edge with y.
+``classify_sy`` reads those six edge bits; ``recover_partition``, which
+needs them for every y at once, builds each of its three buckets as one AND
+of the six pair-table entries or their complements.
 """
 
 from __future__ import annotations
@@ -19,13 +23,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .core import Hypergraph3, triple_table, pair_rank
+from .core import Hypergraph3, _relabeled_bitmaps, triple_table, pair_rank
 from .constructions import ConstructionClaims, Tripartition
 from .patterns import Pattern, greedy_cover_bound, uncovered_vertices
 
@@ -155,14 +159,13 @@ def classify_sy(g: Hypergraph3, quad: tuple[int, int, int, int], y: int) -> SyCl
     a, b, c, x = quad
     if len({a, b, c, x, y}) != 5:
         raise ValueError("a, b, c, x, y must be five distinct vertices")
-    for v in (a, b, c, x, y):
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+    # contains rejects a vertex out of range
     if not (g.contains(a, b, x) and g.contains(b, c, x) and g.contains(a, c, x)):
         raise ValueError("the three pairs of {a,b,c} must all make edges with x")
     if g.contains(a, b, c):
         raise ValueError("abc must not be an edge")
-    sy = frozenset(s for s, m in zip(PAIR_SLOTS, _slot_masks(g.pair_masks(), a, b, c, x)) if m >> y & 1)
+    at = {"a": a, "b": b, "c": c, "x": x}
+    sy = frozenset(s for s in PAIR_SLOTS if g.contains(at[s[0]], at[s[1]], y))
     if not any(sy <= s for s in SY_SETS.values()):
         return SyClass("VIOLATION", sy)
     for label, s in SY_SETS.items():
@@ -189,43 +192,24 @@ class SearchReport:
     note: Optional[str] = None
 
 
-class _BudgetExceeded(Exception):
-    pass
+def _copies(pat: Pattern, n: int) -> list[tuple[int, int]]:
+    """(edge bitmap, vertex bitmap) of every copy of the pattern in K_n: the
+    p-th of the n! relabelings sends pattern vertex v to entry v of p."""
+    edges = _relabeled_bitmaps(Hypergraph3(n, pat.graph.bits), "c2_exact")
+    verts = (1 << np.array(list(permutations(range(n))))[:, :pat.f]).sum(axis=1)
+    return list(dict.fromkeys(zip(edges.tolist(), verts.tolist())))
 
 
-class _DfsStats:
-    __slots__ = ("nodes", "leaves")
-
-    def __init__(self):
-        self.nodes = 0
-        self.leaves = 0
-
-
-def _dfs_feasible(pat, n, target, deadline, stats):
-    # visits exactly the bitmaps whose every pair reaches the target codegree,
-    # in increasing numeric order; returns the first with an uncovered vertex
-    m = comb(n, 3)
-    pair_ids = [tuple(pair_rank(u, v) for u, v in combinations(t, 2)) for t in triple_table(n).tolist()]
-    # slack[p]: how many more triples of pair p may be absent with the target still reachable
-    slack = [n - 2 - target] * comb(n, 2)
-
-    def rec(rank: int, bits: int) -> Optional[int]:
-        stats.nodes += 1
-        # one leaf check can take milliseconds, so the clock is read at every leaf
-        if deadline is not None and (rank < 0 or stats.nodes % 4096 == 0) and time.monotonic() > deadline:
-            raise _BudgetExceeded
-        if rank < 0:
-            stats.leaves += 1
-            return bits if uncovered_vertices(Hypergraph3(n, bits), pat) else None
-        ps = pair_ids[rank]
-        for p in ps:
-            slack[p] -= 1
-        found = rec(rank - 1, bits) if min(map(slack.__getitem__, ps)) >= 0 else None
-        for p in ps:
-            slack[p] += 1
-        return found if found is not None else rec(rank - 1, bits | (1 << rank))
-
-    return rec(m - 1, 0)
+def _uncovered_mask(copies: list[tuple[int, int]], n: int, bits: int) -> int:
+    """Bitmap of the vertices in no copy present in the n-vertex host with edge
+    bitmap bits; a copy is present when all its edges are."""
+    full, covered = (1 << n) - 1, 0
+    for edges, verts in copies:
+        if edges & bits == edges:
+            covered |= verts
+            if covered == full:
+                return 0
+    return full & ~covered
 
 
 def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> SearchReport:
@@ -247,11 +231,35 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
 
     t0 = time.monotonic()
     deadline = t0 + budget_seconds if budget_seconds is not None else None
-    stats, value, bits, note = _DfsStats(), None, None, None
+    copies = _copies(pat, n)
+    pair_ids = [tuple(pair_rank(u, v) for u, v in combinations(t, 2)) for t in triple_table(n).tolist()]
+    nodes = leaves = 0
+
+    def feasible(rank: int, bits: int) -> Optional[int]:
+        # visits exactly the bitmaps whose every pair reaches the target codegree,
+        # in increasing numeric order; returns the first with an uncovered vertex
+        nonlocal nodes, leaves
+        nodes += 1
+        if deadline is not None and (rank < 0 or nodes % 4096 == 0) and time.monotonic() > deadline:
+            raise TimeoutError
+        if rank < 0:
+            leaves += 1
+            return bits if _uncovered_mask(copies, n, bits) else None
+        ps = pair_ids[rank]
+        for p in ps:
+            slack[p] -= 1
+        found = feasible(rank - 1, bits) if min(map(slack.__getitem__, ps)) >= 0 else None
+        for p in ps:
+            slack[p] += 1
+        return found if found is not None else feasible(rank - 1, bits | (1 << rank))
+
+    value = bits = note = None
     for target in range(n - 2, -1, -1):
+        # slack[p]: how many more triples of pair p may be absent with the target still reachable
+        slack = [n - 2 - target] * comb(n, 2)
         try:
-            bits = _dfs_feasible(pat, n, target, deadline, stats)
-        except _BudgetExceeded:
+            bits = feasible(len(pair_ids) - 1, 0)
+        except TimeoutError:
             note = f"budget exhausted while testing target {target}; value <= {target}"
             break
         if bits is not None:
@@ -261,8 +269,7 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
         raise RuntimeError("descent fell through; the empty host is always feasible")
     wall_ms = (time.monotonic() - t0) * 1000.0
 
-    witness = None
-    uncovered_vertex = None
+    witness = uncovered_vertex = None
     if bits is not None:
         witness = Hypergraph3(n, bits)
         unc = uncovered_vertices(witness, pat)
@@ -275,7 +282,7 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
         value=value,
         witness=witness,
         uncovered_vertex=uncovered_vertex,
-        graphs_scanned=stats.leaves,
+        graphs_scanned=leaves,
         exhaustive=note is None,
         wall_ms=wall_ms,
         note=note,

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -177,13 +177,8 @@ def _field(obj: dict, path: str, what: str, ok, optional: bool = False):
     return obj[key]
 
 
-def _contiguous_parts(sizes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    parts = []
-    start = 0
-    for s in sizes:
-        parts.append(tuple(range(start, start + s)))
-        start += s
-    return tuple(parts)
+def _contiguous_parts(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(range(end - s, end)) for s, end in zip(sizes, accumulate(sizes)))
 
 
 def _ascending_sizes(total: int, k: int) -> list[int]:
@@ -200,7 +195,7 @@ def _part_index(parts: tuple[tuple[int, ...], ...], n: int) -> list[int]:
 
 
 def _build(
-    name: str, n: int, sizes: Iterable[int], apex: bool, allowed, min_codegree: int,
+    name: str, n: int, sizes: Sequence[int], apex: bool, allowed, min_codegree: int,
     uncovered: Iterable[int], pattern_hint: str, params: tuple[tuple[str, int], ...] = (),
 ) -> tuple[Hypergraph3, ConstructionClaims]:
     """A family given by a rule on part labels, with its claims.
@@ -372,51 +367,53 @@ def steiner(t: int) -> Hypergraph3:
     """
     if t < 3 or t % 6 not in (1, 3):
         raise ValueError(f"no Steiner triple system on {t} vertices (need t === 1,3 mod 6)")
+    # size the edge bitmap first: numpy refuses an oversize t at once, before the O(t^2) triple list
+    np.empty(comb(t, 3) // 8 + 1, dtype=np.uint8)
+    vid = lambda i, lvl: 3 * i + lvl
     if t % 6 == 3:
         k = (t - 3) // 6
         q = 2 * k + 1
-        half = k + 1  # multiplicative inverse of 2 mod q
-        vid = lambda i, lvl: 3 * i + lvl
+        op = lambda i, j: (i + j) * (k + 1) % q  # k + 1 is the inverse of 2 mod q
         triples = [(vid(i, 0), vid(i, 1), vid(i, 2)) for i in range(q)]
-        for i, j in combinations(range(q), 2):
-            w = ((i + j) * half) % q
-            for lvl in range(3):
-                triples.append((vid(i, lvl), vid(j, lvl), vid(w, (lvl + 1) % 3)))
-        return Hypergraph3.from_triples(t, triples)
-    k = (t - 1) // 6
-    q = 2 * k
-    inf = t - 1
-    vid = lambda i, lvl: 3 * i + lvl
-
-    def op(i: int, j: int) -> int:
-        s = (i + j) % q
-        return s // 2 if s % 2 == 0 else k + (s - 1) // 2
-
-    triples = [(vid(i, 0), vid(i, 1), vid(i, 2)) for i in range(k)]
-    for i in range(k):
-        for lvl in range(3):
-            triples.append((inf, vid(i + k, lvl), vid(i, (lvl + 1) % 3)))
-    for i, j in combinations(range(q), 2):
-        w = op(i, j)
-        for lvl in range(3):
-            triples.append((vid(i, lvl), vid(j, lvl), vid(w, (lvl + 1) % 3)))
+    else:
+        k = (t - 1) // 6
+        q = 2 * k
+        # s = (i + j) mod q goes to s / 2 when even, to k + (s - 1) / 2 when odd
+        op = lambda i, j: (i + j) % q // 2 + k * ((i + j) % 2)
+        triples = [(vid(i, 0), vid(i, 1), vid(i, 2)) for i in range(k)]
+        triples += [(t - 1, vid(i + k, lvl), vid(i, (lvl + 1) % 3)) for i in range(k) for lvl in range(3)]
+    triples += [(vid(i, lvl), vid(j, lvl), vid(op(i, j), (lvl + 1) % 3))
+                for i, j in combinations(range(q), 2) for lvl in range(3)]
     return Hypergraph3.from_triples(t, triples)
 
 
 def sts(t: int) -> tuple[Hypergraph3, ConstructionClaims]:
     """The Steiner triple system ``steiner(t)`` with its claims: codegree 1, one part."""
-    claims = ConstructionClaims("sts", t, min_codegree=1, uncovered=(),
-                                partition=Tripartition(apex=None, parts=(tuple(range(t)),)),
-                                params=(("t", t),))
-    return steiner(t), claims
+    g = steiner(t)  # first: it refuses an oversize t before the claims list t vertices
+    return g, ConstructionClaims("sts", t, min_codegree=1, uncovered=(),
+                                 partition=Tripartition(apex=None, parts=(tuple(range(t)),)),
+                                 params=(("t", t),))
 
 
 def _clique_number(h: Hypergraph3) -> int:
-    for size in range(h.n, 2, -1):
-        for s in combinations(range(h.n), size):
-            if all(h.contains(a, b, c) for a, b, c in combinations(s, 3)):
-                return size
-    return min(h.n, 2)
+    """The most vertices whose triples are all edges (any two vertices count), by
+    a depth-first search that extends a clique only by later vertices in the AND
+    of its pair-table entries, while it and its candidates could beat the best."""
+    rows, best = h.pair_masks(), 0
+
+    def grow(clique: list[int], cand: int) -> None:
+        nonlocal best
+        best = max(best, len(clique))
+        while len(clique) + cand.bit_count() > best:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            later = cand
+            for u in clique:
+                later &= rows[u][v]
+            grow(clique + [v], later)
+
+    grow([], (1 << h.n) - 1)
+    return best
 
 
 def blow_up(h: Hypergraph3, factor: int) -> tuple[Hypergraph3, ConstructionClaims]:

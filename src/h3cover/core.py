@@ -19,6 +19,8 @@ packed pass (``pair_masks``): entry [u][v] is the vertex bitmap of the joint
 neighbourhood of u and v.  ``pair_mask``, ``codegree`` and ``neighborhood``
 read one entry, ``min_codegree`` the least popcount, a ``LinkGraph`` is one
 row, and the embedding searches of ``patterns`` index the table directly.
+The same table splits the vertices into twin classes (``twin_classes``),
+cached beside it.
 
 Two interchangeable text encodings are supported by ``dumps_h3``/``loads_h3``:
 
@@ -162,7 +164,7 @@ def _set_bits(raw: bytes) -> np.ndarray:
 class Hypergraph3:
     """An immutable 3-graph: a vertex count and an edge bitmap."""
 
-    __slots__ = ("n", "bits", "_raw", "_triples", "_pair_masks", "_twin_masks")
+    __slots__ = ("n", "bits", "_raw", "_triples", "_pair_masks", "_twins")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
@@ -174,8 +176,7 @@ class Hypergraph3:
         self._raw: Optional[bytes] = None
         self._triples: Optional[np.ndarray] = None
         self._pair_masks: Optional[tuple[tuple[int, ...], ...]] = None
-        # bitmaps of the twin classes of two or more vertices, set by patterns at a covering miss
-        self._twin_masks: Optional[tuple[int, ...]] = None
+        self._twins: Optional[tuple[int, ...]] = None
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[Sequence[int]]) -> "Hypergraph3":
@@ -240,6 +241,38 @@ class Hypergraph3:
             np.fill_diagonal(rank, comb(n, 2))
             self._pair_masks = tuple(tuple(map(masks.__getitem__, row)) for row in rank.tolist())
         return self._pair_masks
+
+    def twin_classes(self) -> tuple[int, ...]:
+        """Vertex bitmaps of the twin classes of two or more vertices, by least vertex.
+
+        u and v are twins when the swap (u v) is an automorphism: row v with
+        entries u and v swapped then has row u's popcounts, and its entries
+        differ from row u's in both bits u and v (uvw an edge) or in neither.
+        Twins form classes (a swap conjugated by another is a third), so only
+        a class's least vertex is compared with later vertices, and only with
+        those whose sorted codegrees, kept by the swap, hash alike.
+        """
+        if self._twins is None:
+            rows, n = self.pair_masks(), self.n
+            codeg = [list(map(int.bit_count, row)) for row in rows]
+            profile = [hash(tuple(sorted(c))) for c in codeg]
+            alike: dict[int, int] = {}
+            for v, key in enumerate(profile):
+                alike[key] = alike.get(key, 0) | 1 << v
+            classes, unseen = [], (1 << n) - 1
+            while unseen:
+                u = (unseen & -unseen).bit_length() - 1
+                c = 1 << u
+                for v in _iter_bits(alike[profile[u]] & unseen & ~c):
+                    cv, rv = codeg[v][:], list(rows[v])
+                    cv[u], cv[v], rv[u], rv[v] = cv[v], cv[u], rv[v], rv[u]
+                    if codeg[u] == cv and set(map(int.__xor__, rows[u], rv)) <= {0, (1 << u) | (1 << v)}:
+                        c |= 1 << v
+                unseen &= ~c
+                if c & (c - 1):
+                    classes.append(c)
+            self._twins = tuple(classes)
+        return self._twins
 
     def pair_mask(self, u: int, v: int) -> int:
         """Vertex bitmap of the joint neighbourhood of the pair {u,v}."""

@@ -27,18 +27,15 @@ credits every vertex of a found copy as covered.  ``greedy_embed`` anchors
 every position, so no twin bound applies to it and its lowest-index pick is
 unchanged.
 
-The host's symmetry is used the same way.  The twin test that serves the
-pattern also splits the host into twin classes.  ``uncovered_vertices``
-builds them at its first miss that leaves a vertex unresolved and caches
-them on the host: a twin of a covered vertex is covered, a twin of an
-uncovered one uncovered, so each class then costs at most one search.
-Built up front, the pass would cost more than it saves on the fresh small
-hosts of the exact search's leaves.  Once the classes exist,
-``embed_covering`` and ``edge_extendable`` try at each plan position only
-the least free vertex of each class.  With the anchors placed, swapping two
-free twins moves no placed image, so the least image sequence, which the
-search returns, already takes the least free twin at every position, and
-the returned dict is unchanged.
+The host's symmetry is used the same way.  ``Hypergraph3.twin_classes``,
+the test that also labels the pattern's twins, splits the host into twin
+classes.  In ``uncovered_vertices`` a twin of a covered vertex is covered
+and a twin of an uncovered one uncovered, so each class costs at most one
+search.  ``embed_covering`` and ``edge_extendable`` try at each plan
+position only the least free vertex of each class.  With the anchors
+placed, swapping two free twins moves no placed image, so the least image
+sequence, which the search returns, already takes the least free twin at
+every position, and the returned dict is unchanged.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ class Pattern:
     f: int
     r: int
     ordering: tuple[int, ...]
-    _twin_class: tuple[int, ...]
     _orbit_reps: tuple[int, ...]
 
     def __repr__(self) -> str:
@@ -153,55 +149,18 @@ def pattern(name: str, t: Optional[int] = None) -> Pattern:
     plus size (``pattern("K-", 4)``).
     """
     canonical, graph = _catalog_graph(name, t)
-    cached = _PATTERN_CACHE.get(canonical)
-    if cached is None:
-        cached = pattern_from_graph(canonical, graph)
-        _PATTERN_CACHE[canonical] = cached
-    return cached
+    if canonical not in _PATTERN_CACHE:
+        _PATTERN_CACHE[canonical] = pattern_from_graph(canonical, graph)
+    return _PATTERN_CACHE[canonical]
 
 
 def pattern_from_graph(name: str, graph: Hypergraph3) -> Pattern:
     """Wrap an arbitrary small graph (e.g. one loaded from a .h3 file)."""
     r, ordering = degeneracy(graph)
-    twin = _twin_classes(graph)
-    return Pattern(name, graph, graph.n, r, ordering, twin, _orbit_representatives(graph, twin))
+    return Pattern(name, graph, graph.n, r, ordering, _orbit_representatives(graph))
 
 
-def _twin_classes(graph: Hypergraph3) -> tuple[int, ...]:
-    """The least twin of each vertex (itself if it has none below it).
-
-    Swapping u and v is an automorphism iff, for every other vertex w, the
-    table entries [u][w] and [v][w] agree outside u and v.  Conjugating one
-    such transposition by another gives a third, so twins form classes: only
-    the least vertex of a class is compared with later vertices, and only
-    with those of its own degree.  Serves pattern graphs and hosts alike.
-    """
-    rows, n = graph.pair_masks(), graph.n
-    degree = graph._degrees().tolist()
-    label = list(range(n))
-    for u in range(n):
-        if label[u] != u:
-            continue
-        for v in range(u + 1, n):
-            if label[v] != v or degree[v] != degree[u]:
-                continue
-            keep = ~((1 << u) | (1 << v))
-            if all(rows[u][w] & keep == rows[v][w] & keep for w in range(n) if w != u and w != v):
-                label[v] = u
-    return tuple(label)
-
-
-def _host_twins(host: Hypergraph3) -> tuple[int, ...]:
-    """Bitmaps of the host's twin classes of two or more vertices, built once per host."""
-    if host._twin_masks is None:
-        classes: dict[int, int] = {}
-        for v, least in enumerate(_twin_classes(host)):
-            classes[least] = classes.get(least, 0) | 1 << v
-        host._twin_masks = tuple(c for c in classes.values() if c & (c - 1))
-    return host._twin_masks
-
-
-def _orbit_representatives(graph: Hypergraph3, twin: tuple[int, ...]) -> tuple[int, ...]:
+def _orbit_representatives(graph: Hypergraph3) -> tuple[int, ...]:
     """The least vertex of each orbit of Aut(F), ascending.
 
     a starts a new orbit iff no self-embedding maps an earlier representative
@@ -214,7 +173,7 @@ def _orbit_representatives(graph: Hypergraph3, twin: tuple[int, ...]) -> tuple[i
     reps: list[int] = []
     for a in range(f):
         if not any(
-            _backtrack(rows, _plan(graph, twin, (r,)), [a] + [-1] * (f - 1), full & ~(1 << a), 1)
+            _backtrack(rows, _plan(graph, (r,)), [a] + [-1] * (f - 1), full & ~(1 << a), 1, {}, 0)
             for r in reps
         ):
             reps.append(a)
@@ -250,18 +209,26 @@ def _candidates(rows, step, images: list[int], free: int) -> int:
     return free
 
 
-def _backtrack(rows, plan, images: list[int], free: int, pos: int, twins: tuple[int, ...] = ()) -> bool:
+def _host_classes(host: Hypergraph3, free: int) -> tuple[dict[int, int], int]:
+    """The host's twin class of each vertex in one, and the free vertices with a free twin below."""
+    classes, later = {}, 0
+    for c in host.twin_classes():
+        classes.update(dict.fromkeys(_iter_bits(c), c))
+        c &= free
+        later |= c & (c - 1)
+    return classes, later
+
+
+def _backtrack(rows, plan, images: list[int], free: int, pos: int, classes, later: int) -> bool:
+    # the anchors are placed, so swapping two free host twins moves no placed image: of each
+    # class only the least free twin is tried; v is one, and the next free twin takes its place
     if pos == len(plan):
         return True
-    cand = _candidates(rows, plan[pos], images, free)
-    for c in twins:
-        # the anchors are placed, so swapping two free host twins moves no placed image:
-        # of each class only the least free twin is tried
-        c &= free
-        cand &= ~(c & (c - 1))
-    for v in _iter_bits(cand):
+    for v in _iter_bits(_candidates(rows, plan[pos], images, free) & ~later):
         images[pos] = v
-        if _backtrack(rows, plan, images, free & ~(1 << v), pos + 1, twins):
+        rest = free & ~(1 << v)
+        c = classes.get(v, 0) & rest
+        if _backtrack(rows, plan, images, rest, pos + 1, classes, later & ~(c & -c)):
             return True
     return False
 
@@ -271,19 +238,19 @@ def embed_covering(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int
 
     Exhaustive: tries x at the least vertex of each automorphism orbit of
     the pattern and backtracks over the rest, pruning candidates through
-    joint pair neighbourhoods, the pattern's twin order and, once
-    ``uncovered_vertices`` has built them, the host's twin classes.
+    joint pair neighbourhoods, the pattern's twin order and the host's
+    twin classes.
     """
     if not 0 <= x < host.n:
         raise ValueError(f"vertex {x} out of range")
     if host.n < pat.f:
         return None
     rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~(1 << x)
-    twins = host._twin_masks or ()
+    classes, later = _host_classes(host, free)
     for anchor in pat._orbit_reps:
-        plan = _plan(pat.graph, pat._twin_class, (anchor,))
+        plan = _plan(pat.graph, (anchor,))
         images = [x] + [-1] * (pat.f - 1)
-        if _backtrack(rows, plan, images, free, 1, twins):
+        if _backtrack(rows, plan, images, free, 1, classes, later):
             return {plan[i][0]: images[i] for i in range(pat.f)}
     return None
 
@@ -299,7 +266,7 @@ def greedy_embed(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int, 
         raise ValueError(f"vertex {x} out of range")
     if host.n < pat.f:
         return None
-    plan = _plan(pat.graph, pat._twin_class, pat.ordering)
+    plan = _plan(pat.graph, pat.ordering)
     rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~(1 << x)
     images: list[int] = [x]
     for step in plan[1:]:
@@ -317,11 +284,8 @@ def uncovered_vertices(host: Hypergraph3, pat: Pattern) -> tuple[int, ...]:
 
     Every vertex of a copy found through one vertex is covered too.  A twin
     of a covered vertex is covered and a twin of an uncovered one uncovered,
-    so once the host's twin classes are known each class needs at most one
-    search.  They are built at the first miss that leaves a vertex
-    unresolved: a host whose only miss is its last vertex never pays for them.
+    so each of the host's twin classes needs at most one search.
     """
-    full = (1 << host.n) - 1
     covered = missed = 0
     for x in range(host.n):
         if (covered | missed) >> x & 1:
@@ -329,12 +293,10 @@ def uncovered_vertices(host: Hypergraph3, pat: Pattern) -> tuple[int, ...]:
         emb = embed_covering(host, x, pat)
         if emb is None:
             missed |= 1 << x
-            if host._twin_masks is None and covered | missed != full:
-                _host_twins(host)
         else:
             for v in emb.values():
                 covered |= 1 << v
-        for c in host._twin_masks or ():
+        for c in host.twin_classes():
             if covered & c:
                 covered |= c
             elif missed & c:
@@ -350,18 +312,18 @@ def edge_extendable(host: Hypergraph3, e: Sequence[int], pat: Pattern) -> bool:
     if host.n < pat.f:
         return False
     rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~((1 << a) | (1 << b) | (1 << c))
-    twins = host._twin_masks or ()
+    classes, later = _host_classes(host, free)
     # abc is a host edge, so a pattern edge among the three anchors always lands on one
     for anchors in (t for t in permutations(range(pat.f), 3) if t[0] in pat._orbit_reps):
         images = [a, b, c] + [-1] * (pat.f - 3)
-        if _backtrack(rows, _plan(pat.graph, pat._twin_class, anchors), images, free, 3, twins):
+        if _backtrack(rows, _plan(pat.graph, anchors), images, free, 3, classes, later):
             return True
     return False
 
 
 # unbounded, like the pattern catalog: one small entry per pattern graph and anchor tuple searched
 @lru_cache(maxsize=None)
-def _plan(graph: Hypergraph3, twin_class: tuple[int, ...], anchors: tuple[int, ...]):
+def _plan(graph: Hypergraph3, anchors: tuple[int, ...]):
     """Static vertex order of the pattern graph from the anchors, most-constrained first.
 
     Returns per-position (pattern_vertex, constraints, twin) where constraints
@@ -382,14 +344,15 @@ def _plan(graph: Hypergraph3, twin_class: tuple[int, ...], anchors: tuple[int, .
         nxt = max(remaining, key=score)
         placed.append(nxt)
         remaining.remove(nxt)
-    table = graph.pair_masks()
+    table, classes = graph.pair_masks(), graph.twin_classes()
     latest: dict[int, int] = {}
     steps = []
     for i, v in enumerate(placed):
         cons = tuple((j, k) for j, k in combinations(range(i), 2) if table[placed[j]][placed[k]] >> v & 1)
         twin = -1
         if i >= len(anchors):
-            twin = latest.get(twin_class[v], -1)
-            latest[twin_class[v]] = i
+            cls = next((c for c in classes if c >> v & 1), 1 << v)
+            twin = latest.get(cls, -1)
+            latest[cls] = i
         steps.append((v, cons, twin))
     return tuple(steps)

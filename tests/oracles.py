@@ -150,6 +150,17 @@ def canonical_bitmap(g):
     )
 
 
+def clique_number(h):
+    """The most vertices whose triples are all edges, trying every vertex set from
+    the largest down; any two vertices count."""
+    edges = set(triples_of(h))
+    for size in range(h.n, 2, -1):
+        for s in combinations(range(h.n), size):
+            if all(t in edges for t in combinations(s, 3)):
+                return size
+    return min(h.n, 2)
+
+
 def labelled_triples(label, keep):
     """Triples of 0..len(label)-1 whose sorted tuple of vertex labels passes keep."""
     return {

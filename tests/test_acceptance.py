@@ -121,12 +121,10 @@ def test_criterion_3_uncovered_vertex_certificates():
         if uncovered_vertices(g, c5) != claims.partition.parts[0]:
             failures.append(f"f4({n}): uncovered set is not exactly the first part")
     # the paper's regime: blow-ups whose parts are host twin classes
-    g, claims = f4(99)
-    if uncovered_vertices(g, c5) != claims.partition.parts[0]:
-        failures.append("f4(99): uncovered set is not exactly the first part")
-    g, claims = f32_tripartite(99)
-    if uncovered_vertices(g, pattern("F32")) != tuple(range(99)):
-        failures.append("f32tri(99): some vertex is F32-covered")
+    for family, name in ((f3, "C5"), (f4, "C5"), (f32_tripartite, "F32"), (fano_bipartite, "Fano")):
+        g, claims = family(150)
+        if uncovered_vertices(g, pattern(name)) != claims.uncovered:
+            failures.append(f"{claims.name}(150): uncovered set is not the claimed {name}-uncovered set")
     g, claims = blow_up(pattern("K4-").graph, 2)
     if embed_covering(g, claims.partition.apex, pattern("K5")) is not None:
         failures.append("doubled 4-part family: apex is K5-covered")

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -18,10 +19,12 @@ from h3cover import (
     f2,
     admissible_sample,
     pattern,
+    pattern_from_graph,
     recover_partition,
     triple_rank,
     verify_construction,
 )
+from h3cover import analysis
 from h3cover.analysis import SY_SETS, SyClass, _measure_partition
 
 import oracles
@@ -197,7 +200,8 @@ def test_c2_exact_within_theorem_bracket():
 
 
 def test_c2_exact_budget_yields_partial():
-    rep = c2_exact(pattern("K4"), 7, budget_seconds=0.05)
+    # C5 at n = 7 runs for minutes; K4 at n = 7 can finish inside 0.05 s
+    rep = c2_exact(pattern("C5"), 7, budget_seconds=0.05)
     assert not rep.exhaustive
     assert rep.note is not None
     assert rep.value is None
@@ -205,11 +209,12 @@ def test_c2_exact_budget_yields_partial():
 
 @pytest.mark.parametrize("name", ["K4", "K4-", "C5"])
 def test_c2_exact_budget_overrun_is_bounded(name):
+    # a budget well inside K4's whole search at n = 7 (about 0.05 s on 2 cores)
     t0 = time.perf_counter()
-    rep = c2_exact(pattern(name), 7, budget_seconds=0.05)
+    rep = c2_exact(pattern(name), 7, budget_seconds=0.01)
     elapsed = time.perf_counter() - t0
     assert not rep.exhaustive
-    assert elapsed - 0.05 < 0.05
+    assert elapsed - 0.01 < 0.05
 
 
 def test_c2_exact_rejects_small_n():
@@ -223,6 +228,39 @@ def test_c2_exact_rejects_small_n():
 def test_c2_exact_rejects_negative_budget(budget):
     with pytest.raises(ValueError):
         c2_exact(pattern("K4"), 5, budget_seconds=budget)
+
+
+# the last pattern has an isolated vertex: a copy covers a vertex its edges miss
+@pytest.mark.parametrize(
+    "pat",
+    [pattern(name) for name in ("K4", "K4-", "C5", "F32", "Fano")]
+    + [pattern_from_graph("K4+1", build(5, combinations(range(4), 3)))],
+    ids=lambda pat: pat.name,
+)
+def test_leaf_uncovered_mask_matches_oracle(pat):
+    rng = random.Random(pat.name)
+    for n in range(max(5, pat.f), 8):
+        copies = analysis._copies(pat, n)
+        # densities at which some draws leave part of the vertices uncovered
+        for density in (0.4, 0.4, 0.6, 0.6, 0.75, 0.75, 0.85, 0.85):
+            host = Hypergraph3(n, sum(1 << r for r in range(comb(n, 3)) if rng.random() < density))
+            want = sum(1 << x for x in oracles.uncovered(host, pat))
+            assert analysis._uncovered_mask(copies, n, host.bits) == want, (n, host.bits)
+
+
+def test_exact_search_leaves_skip_the_covering_engine(monkeypatch):
+    # the leaves test copy bitmaps; the covering engine only re-checks the witness
+    checked = []
+    recheck = analysis.uncovered_vertices
+
+    def recording(host, pat):
+        checked.append(host.bits)
+        return recheck(host, pat)
+
+    monkeypatch.setattr(analysis, "uncovered_vertices", recording)
+    rep = c2_exact(pattern("K4"), 6)
+    assert rep.graphs_scanned > 100
+    assert checked == [rep.witness.bits]
 
 
 def test_witness_reverified_on_emission():

@@ -103,8 +103,9 @@ def test_search_small(capsys):
 
 
 def test_search_budget_exit_code(capsys):
+    # C5 at n = 7 runs for minutes; K4 at n = 7 can finish inside 0.05 s
     code, stdout, _ = run(
-        capsys, "search", "--pattern", "K4", "--n", "7", "--budget-seconds", "0.05"
+        capsys, "search", "--pattern", "C5", "--n", "7", "--budget-seconds", "0.05"
     )
     assert code == 4
     payload = json.loads(stdout)
@@ -187,19 +188,25 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("name", [name for name, (size, _) in CONSTRUCTIONS.items() if size == "n"])
+# a size far beyond memory for each sizing option (sts needs t === 1 or 3 mod 6)
+OVERSIZE = {"n": "100000000", "t": "99999999"}
+
+
+@pytest.mark.parametrize("name", [name for name, (size, _) in CONSTRUCTIONS.items() if size in OVERSIZE])
 def test_construct_oversize_n_exits_2_at_once(tmp_path, name):
     # a child process capped at 1 GiB of address space, so a program that starts
     # O(n) work cannot exhaust the machine running the suite
     env = {**os.environ, "PYTHONPATH": str(Path(h3cover.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    size = CONSTRUCTIONS[name][0]
     proc = subprocess.run(
-        [sys.executable, "-m", "h3cover.cli", "construct", name, "--n", "100000000", "-o", str(tmp_path / "g.h3")],
+        [sys.executable, "-m", "h3cover.cli", "construct", name, f"--{size}", OVERSIZE[size],
+         "-o", str(tmp_path / "g.h3")],
         capture_output=True, text=True, timeout=20, env=env, preexec_fn=_cap_address_space,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    # refused for the size of its rank table, not after per-vertex lists filled the cap
+    # refused for the size of its rank table or edge bitmap, not after Python lists filled the cap
     assert "out of memory" not in proc.stderr
 
 

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from itertools import combinations
@@ -5,6 +8,7 @@ from math import comb
 
 from h3cover import (
     AdmissiblePairSet,
+    Hypergraph3,
     blow_up,
     build,
     canonical_key,
@@ -21,6 +25,7 @@ from h3cover import (
     steiner,
     uncovered_vertices,
 )
+from h3cover import constructions
 from h3cover.constructions import VARIANT_CASES
 
 import oracles
@@ -256,6 +261,22 @@ def test_blow_up_fano_complement():
     assert g.n == 15
     assert oracles.min_codegree(g) == 11 == claims.min_codegree
     assert claims.pattern_hint == "K6"
+
+
+def test_clique_number_matches_brute_force():
+    rng = random.Random(4)
+    for n in range(3, 10):
+        for density in (0.0, 0.3, 0.6, 0.8, 0.95):
+            h = Hypergraph3(n, sum(1 << r for r in range(comb(n, 3)) if rng.random() < density))
+            assert constructions._clique_number(h) == oracles.clique_number(h), (n, h.bits)
+
+
+def test_blow_up_hint_of_a_large_base_is_quick():
+    # the largest clique of f4(30) is its second half: 15 vertices, so K17
+    t0 = time.perf_counter()
+    _, claims = blow_up(f4(30)[0], 1)
+    assert claims.pattern_hint == "K17"
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_blow_up_rejects_bad_input():

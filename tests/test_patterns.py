@@ -10,7 +10,6 @@ from math import comb
 from h3cover import (
     Hypergraph3,
     build,
-    c2_exact,
     degeneracy,
     edge_extendable,
     embed_covering,
@@ -19,6 +18,7 @@ from h3cover import (
     f3,
     f4,
     f32_tripartite,
+    fano_bipartite,
     greedy_cover_bound,
     greedy_embed,
     pattern,
@@ -129,13 +129,14 @@ def test_greedy_cover_bound_rejects_small_host():
 # -- symmetry data ----------------------------------------------------------------
 
 
+def assert_twin_classes(g):
+    classes = [tuple(v for v in range(g.n) if c >> v & 1) for c in g.twin_classes()]
+    assert classes == [c for c in oracles.twin_classes(g) if len(c) > 1]
+
+
 def assert_symmetry_data(pat):
     assert pat._orbit_reps == tuple(orbit[0] for orbit in oracles.automorphism_orbits(pat.graph))
-    classes = {}
-    for v, label in enumerate(pat._twin_class):
-        classes.setdefault(label, []).append(v)
-    assert all(label == members[0] for label, members in classes.items())
-    assert sorted(map(tuple, classes.values())) == oracles.twin_classes(pat.graph)
+    assert_twin_classes(pat.graph)
 
 
 @pytest.mark.parametrize("name", [name for name in CATALOG if pattern(name).f <= 7])
@@ -222,27 +223,20 @@ DRAWN_HOSTS = _drawn_hosts()
 
 @pytest.mark.parametrize("host", DRAWN_HOSTS, ids=repr)
 def test_host_twin_classes_match_brute_force(host):
-    classes = {}
-    for v, least in enumerate(patterns._twin_classes(host)):
-        classes.setdefault(least, []).append(v)
-    assert all(least == members[0] for least, members in classes.items())
-    assert sorted(map(tuple, classes.values())) == oracles.twin_classes(host)
+    assert_twin_classes(host)
 
 
 @pytest.mark.parametrize("host", DRAWN_HOSTS, ids=repr)
 def test_host_twins_change_no_answer(host):
-    # a host with its classes cached answers exactly as a fresh one, which has none
+    # the searches cut by the host's twin classes answer as the brute-force oracles
     for name in ("K4", "K4-", "C5", "F32"):
         pat = pattern(name)
-        assert uncovered_vertices(Hypergraph3(host.n, host.bits), pat) == oracles.uncovered(host, pat)
-        fresh, cached = Hypergraph3(host.n, host.bits), Hypergraph3(host.n, host.bits)
-        patterns._host_twins(cached)
+        assert uncovered_vertices(host, pat) == oracles.uncovered(host, pat)
         for x in range(host.n):
-            emb = embed_covering(cached, x, pat)
-            assert fresh._twin_masks is None and emb == embed_covering(fresh, x, pat), (name, x)
-            assert (emb is not None) == oracles.embeds_through(host, x, pat), (name, x)
+            found = embed_covering(host, x, pat) is not None
+            assert found == oracles.embeds_through(host, x, pat), (name, x)
         for e in host.edges():
-            assert edge_extendable(cached, e, pat) == oracles.extends_edge(host, e, pat), (name, e)
+            assert edge_extendable(host, e, pat) == oracles.extends_edge(host, e, pat), (name, e)
 
 
 @pytest.mark.parametrize(
@@ -267,22 +261,26 @@ def test_host_twin_work_guard(monkeypatch, family, name, unreduced_calls):
     assert calls <= unreduced_calls // 10
 
 
-def test_exact_search_leaves_skip_the_host_twin_pass(monkeypatch):
-    # the pass runs at a miss with vertices left, which ends a target's search:
-    # at most once per target tried, never once per leaf
-    pat = pattern("K4")
-    passes = 0
-    twin_classes = patterns._twin_classes
+@pytest.mark.parametrize(
+    "family, n, name, head_calls",
+    # entries into _backtrack, recursion included, when the first miss was proved
+    # before the host's twin classes were built: f3(99)/C5 235,799;
+    # fano_bipartite(36)/Fano 12,506,328
+    [(f3, 99, "C5", 235_799), (fano_bipartite, 36, "Fano", 12_506_328)],
+)
+def test_first_miss_work_guard(monkeypatch, family, n, name, head_calls):
+    host, claims = family(n)
+    calls = 0
+    backtrack = patterns._backtrack
 
-    def counting(graph):
-        nonlocal passes
-        passes += 1
-        return twin_classes(graph)
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return backtrack(*args)
 
-    monkeypatch.setattr(patterns, "_twin_classes", counting)
-    rep = c2_exact(pat, 6)
-    assert rep.graphs_scanned > 100
-    assert passes <= 6 - 2 - rep.value + 1
+    monkeypatch.setattr(patterns, "_backtrack", counting)
+    assert uncovered_vertices(host, pattern(name)) == claims.uncovered
+    assert calls <= head_calls // 10
 
 
 # -- embed_covering --------------------------------------------------------------
@@ -415,7 +413,12 @@ def test_uncovered_complete_host():
 
 
 def test_uncovered_searches_only_through_uncredited_vertices(monkeypatch):
-    # the copy found through 0 covers 0..3; each later copy covers its own vertex and 0, 1, 2
+    # complete(8) less six triples, each with at most one of 0, 1, 2, so that no two
+    # vertices are twins and only crediting skips searches.  The copy found through 0
+    # covers 0..3; each later copy covers its own vertex and 0, 1, 2
+    removed = {(0, 3, 4), (1, 3, 4), (1, 3, 5), (1, 6, 7), (3, 4, 5), (3, 4, 6)}
+    host = build(8, [t for t in combinations(range(8), 3) if t not in removed])
+    assert host.twin_classes() == ()
     searched = []
     search = patterns.embed_covering
 
@@ -424,7 +427,7 @@ def test_uncovered_searches_only_through_uncredited_vertices(monkeypatch):
         return search(host, x, pat)
 
     monkeypatch.setattr(patterns, "embed_covering", recording)
-    assert uncovered_vertices(complete(8), pattern("K4")) == ()
+    assert uncovered_vertices(host, pattern("K4")) == ()
     assert searched == [0, 4, 5, 6, 7]
 
 
@@ -436,8 +439,6 @@ def test_uncovered_f4_is_first_half():
 def test_uncovered_f1_is_apex():
     g, claims = f1(12)
     assert uncovered_vertices(g, pattern("K4")) == (claims.partition.apex,)
-    # the apex is the last vertex, so its miss leaves nothing to resolve with twin classes
-    assert g._twin_masks is None
 
 
 def test_edge_extendable_k5():
