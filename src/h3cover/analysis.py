@@ -370,13 +370,14 @@ def recover_partition(
 
 def _measure_partition(g: Hypergraph3, x: int, parts) -> PartitionDiagnostics:
     # label the apex 4 and part i as i + 1, then histogram the edges by their
-    # sorted label triples: each count below is a sum of histogram cells
+    # sorted label triples: each count below is a sum of histogram cells; the
+    # largest cell, 124, fits int8, so the product never widens the edge rows
     label = np.zeros(g.n, dtype=np.int8)
     for i, part in enumerate(parts):
         label[list(part)] = i + 1
     label[x] = 4
     labels = np.sort(label[g.edge_array()], axis=1)
-    hist = np.bincount(labels @ np.array([25, 5, 1]), minlength=125).tolist()
+    hist = np.bincount(labels @ np.array([25, 5, 1], dtype=np.int8), minlength=125).tolist()
 
     def edges_of(*labels: int) -> int:
         p, q, r = sorted(labels)

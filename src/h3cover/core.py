@@ -10,9 +10,12 @@ C(n,3)-1.  That integer is the canonical, hashable value; graphs are
 immutable and safe to share across threads.  One decode path serves every
 view: a graph turns its set bits (the edge ranks) into an int16 array of
 triples once, lazily, by binary search in the binomial columns C(v,2), C(v,3)
-(``edge_array``).  Degrees and ``dumps_h3`` are numpy passes over that
-array; ``contains`` reads one bit.  ``from_triples`` and ``loads_h3`` (whose
-edge lines one ``np.loadtxt`` call parses) rank whole vertex arrays at once.
+(``edge_array``).  ``loads_h3`` skips it: the rows that one ``np.loadtxt``
+call parses, ranked and put in rank order, are the array.  Degrees and
+``dumps_h3`` are numpy passes over it; the writer gathers each block of rows'
+text cells from a per-vertex table of NUL-padded byte strings in one index
+and drops the block's padding.  ``contains`` reads one bit; ``from_triples``
+ranks whole vertex arrays at once.
 
 Every pair query reads one table, built lazily from the same array in one
 packed pass (``pair_masks``): entry [u][v] is the vertex bitmap of the joint
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import io
 import re
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from math import comb, isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -66,7 +69,7 @@ __all__ = [
 # exact edit distance) enumerate all n! relabelings.
 EXACT_MODE_CAP = 8
 
-# edges() and dumps_h3 turn this many rows of the edge array into Python objects at a time
+# edges() turns this many rows of the edge array into tuples at a time, dumps_h3 into text
 _CHUNK = 4096
 
 
@@ -164,7 +167,7 @@ def _set_bits(raw: bytes) -> np.ndarray:
 class Hypergraph3:
     """An immutable 3-graph: a vertex count and an edge bitmap."""
 
-    __slots__ = ("n", "bits", "_raw", "_triples", "_pair_masks", "_twins")
+    __slots__ = ("n", "bits", "_raw", "_triples", "_pair_masks", "_twins", "_twin_of")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
@@ -177,6 +180,7 @@ class Hypergraph3:
         self._triples: Optional[np.ndarray] = None
         self._pair_masks: Optional[tuple[tuple[int, ...], ...]] = None
         self._twins: Optional[tuple[int, ...]] = None
+        self._twin_of: dict[int, int] = {}  # vertex -> its twin class, filled with _twins
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[Sequence[int]]) -> "Hypergraph3":
@@ -271,6 +275,7 @@ class Hypergraph3:
                 unseen &= ~c
                 if c & (c - 1):
                     classes.append(c)
+            self._twin_of = {v: c for c in classes for v in _iter_bits(c)}
             self._twins = tuple(classes)
         return self._twins
 
@@ -458,11 +463,12 @@ def edit_distance(g: Hypergraph3, h: Hypergraph3) -> int:
 
 def dumps_h3(g: Hypergraph3, fmt: str = "text") -> str:
     if fmt == "text":
-        # one format call per block of edges: no per-edge string objects
-        t = g.edge_array()
-        blocks = (t[lo:lo + _CHUNK].ravel().tolist() for lo in range(0, len(t), _CHUNK))
-        lines = ("%d %d %d\n" * (len(b) // 3) % tuple(b) for b in blocks)
-        return "".join(chain([f"{g.n} {g.num_edges}\n"], lines))
+        # cell [j][v] is v and column j's separator, NUL-padded; a block of rows is one gather,
+        # and each block drops its padding, so at most two copies of the text are alive at once
+        cells = np.array([[f"{v}{s}" for v in range(g.n)] for s in "  \n"], dtype=f"S{len(str(g.n)) + 1}")
+        t, cols = g.edge_array(), np.arange(3)
+        blocks = (cells[cols, t[lo:lo + _CHUNK]].tobytes() for lo in range(0, len(t), _CHUNK))
+        return "".join([f"{g.n} {g.num_edges}\n", *(b.translate(None, b"\0").decode() for b in blocks)])
     if fmt == "hex":
         width = max(1, (comb(g.n, 3) + 3) // 4)
         return f"n: {g.n}\n{g.bits:0{width}x}\n"
@@ -488,17 +494,20 @@ def loads_h3(text: str) -> Hypergraph3:
     if bad := body.encode().translate(None, b"0123456789 \t\n\r\v\f\x1c\x1d\x1e\x1f"):
         raise ValueError(f"edge lines hold only unsigned decimal vertices, found {bad.decode()[0]!r}")
     # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body
-    t = np.zeros((0, 3), np.int32)
-    if body.strip():
-        t = np.loadtxt(io.BytesIO(body.encode()), dtype=np.int32, ndmin=2)
+    t = np.zeros((0, 3), np.int16)
+    if body.strip():  # int16, as the edge array: a larger vertex raises
+        t = np.loadtxt(io.BytesIO(body.encode()), dtype=np.int16, ndmin=2)
     if t.shape != (m, 3):
         raise ValueError(f"header promises {m} edges, found {t.shape[0]} lines of {t.shape[1]} vertices")
     ranks = _rank_rows(n, t)
+    if not (ranks[1:] > ranks[:-1]).all():  # dumps_h3 writes rank order; sorted, a repeat is adjacent
+        order = ranks.argsort()
+        ranks, t = ranks[order], t[order]
+        if (twice := ranks[1:][ranks[1:] == ranks[:-1]]).size:
+            raise ValueError(f"edge {' '.join(map(str, triple_unrank(int(twice[0]))))} is listed twice")
     g = Hypergraph3(n, _bitmap(ranks))
-    if g.num_edges != m:
-        ranks.sort()
-        twice = ranks[1:][ranks[1:] == ranks[:-1]][0]
-        raise ValueError(f"edge {' '.join(map(str, triple_unrank(int(twice))))} is listed twice")
+    g._triples = t  # the parsed rows: no reader of the file decodes the bitmap
+    t.flags.writeable = False
     return g
 
 

@@ -211,12 +211,11 @@ def _candidates(rows, step, images: list[int], free: int) -> int:
 
 def _host_classes(host: Hypergraph3, free: int) -> tuple[dict[int, int], int]:
     """The host's twin class of each vertex in one, and the free vertices with a free twin below."""
-    classes, later = {}, 0
+    later = 0
     for c in host.twin_classes():
-        classes.update(dict.fromkeys(_iter_bits(c), c))
         c &= free
         later |= c & (c - 1)
-    return classes, later
+    return host._twin_of, later
 
 
 def _backtrack(rows, plan, images: list[int], free: int, pos: int, classes, later: int) -> bool:

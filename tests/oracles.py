@@ -43,6 +43,19 @@ def loads_h3(text):
     return Hypergraph3(n, sum(1 << r for r in ranks))
 
 
+def dumps_h3(g):
+    """The edge-list .h3 writer, one edge at a time: the header ``n m``, then a line
+    ``a b c`` for each set bit, walking the triples a < b < c in colex (rank) order."""
+    bits, lines, rank = bin(g.bits)[:1:-1], [], 0
+    for c in range(g.n):
+        for b in range(c):
+            for a in range(b):
+                if rank < len(bits) and bits[rank] == "1":
+                    lines.append("%d %d %d\n" % (a, b, c))
+                rank += 1
+    return f"{g.n} {len(lines)}\n" + "".join(lines)
+
+
 def codegree(g, u, v):
     return sum(1 for e in triples_of(g) if u in e and v in e)
 

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from itertools import combinations, permutations
@@ -18,6 +21,7 @@ from h3cover import (
     triple_rank,
     triple_unrank,
 )
+from h3cover import core
 
 import oracles
 
@@ -292,6 +296,56 @@ def test_forms_agree():
     assert loads_h3(dumps_h3(g, "text")) == loads_h3(dumps_h3(g, "hex"))
 
 
+def _random_hosts(seed):
+    """Seeded hosts at vertex counts across the 1->2 and 2->3 digit widths: empty, sparse and half full."""
+    rng = random.Random(seed)
+    for n in (0, 1, 2, 3, 9, 10, 11, 99, 100, 101):
+        width = comb(n, 3)
+        sparse = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width) if width else 0
+        yield from (Hypergraph3(n, 0), Hypergraph3(n, sparse), Hypergraph3(n, rng.getrandbits(width)))
+
+
+def test_dumps_text_matches_edge_by_edge_writer():
+    for g in _random_hosts(11):
+        assert dumps_h3(g, "text") == oracles.dumps_h3(g), g
+
+
+def _shuffled(text, rng):
+    """The edge lines of a text in random order, each with its vertices in random order."""
+    head, *lines = text.splitlines()
+    rows = [rng.sample(line.split(), 3) for line in lines]
+    rng.shuffle(rows)
+    return "\n".join([head, *map(" ".join, rows)]) + "\n"
+
+
+def test_loads_hands_over_rows_as_edge_array():
+    rng = random.Random(12)
+    for g in _random_hosts(12):
+        for text in (dumps_h3(g), _shuffled(dumps_h3(g), rng)):
+            t = loads_h3(text).edge_array()
+            assert t.dtype == np.int16 and not t.flags.writeable
+            assert np.array_equal(t, g.edge_array()), g
+    g, _ = f1(11)
+    lines = dumps_h3(g).splitlines()[1:]
+    text = _shuffled("\n".join([f"{g.n} {g.num_edges + 1}", *lines, lines[40]]), rng)
+    with pytest.raises(ValueError, match=f"{lines[40]} is listed twice"):
+        loads_h3(text)
+
+
+def test_loaded_graph_is_never_decoded(monkeypatch):
+    g, _ = f1(12)
+    texts = [dumps_h3(g), _shuffled(dumps_h3(g), random.Random(13))]
+    edges, masks = g.edge_array(), g.pair_masks()
+
+    def no_decode(n, ranks):
+        raise AssertionError("a graph read from .h3 text decoded its bitmap")
+
+    monkeypatch.setattr(core, "_unrank", no_decode)
+    for text in texts:
+        loaded = loads_h3(text)
+        assert np.array_equal(loaded.edge_array(), edges) and loaded.pair_masks() == masks
+
+
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # the warnings filter a CLI run has
 def test_loads_rejects_bad_input():
     with pytest.raises(ValueError):
@@ -516,4 +570,5 @@ def test_loads_matches_line_by_line_reader(text):
         with pytest.raises(ValueError):
             loads_h3(text)
     else:
-        assert loads_h3(text) == want
+        got = loads_h3(text)
+        assert got == want and got.edge_array().tolist() == [list(t) for t in oracles.triples_of(want)]
