@@ -201,8 +201,10 @@ def cmd_recover(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="h3cover", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--format", choices=("json", "table"), default="json")
 
-    p = sub.add_parser("construct", help="generate a construction plus its claims sidecar")
+    p = sub.add_parser("construct", parents=[out], help="generate a construction plus its claims sidecar")
     p.add_argument("name", choices=CONSTRUCTIONS)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t", type=int, default=None, help="vertex count for sts")
@@ -212,40 +214,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", type=int, default=2, help="part size for blowup")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--fmt", choices=("text", "hex"), default="text")
-    p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="re-measure a claims sidecar against its graph")
+    p = sub.add_parser("verify", parents=[out], help="re-measure a claims sidecar against its graph")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--claims", default=None)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("cover", help="list the vertices no pattern copy passes through")
+    p = sub.add_parser("cover", parents=[out], help="list the vertices no pattern copy passes through")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("search", help="exact threshold by exhaustion at tiny n")
+    p = sub.add_parser("search", parents=[out], help="exact threshold by exhaustion at tiny n")
     p.add_argument("--pattern", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("bounds", help="closed-form bracket table over a range of n")
+    p = sub.add_parser("bounds", parents=[out], help="closed-form bracket table over a range of n")
     p.add_argument("--pattern", required=True)
     p.add_argument("--n", required=True, help="single value or range like 7..18")
-    p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("recover", help="recover an apex tripartition and measure violations")
+    p = sub.add_parser("recover", parents=[out], help="recover an apex tripartition and measure violations")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--apex", type=int, required=True)
     p.add_argument("--delta", default="1/429")
-    p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_recover)
 
     return top

@@ -167,7 +167,7 @@ def _set_bits(raw: bytes) -> np.ndarray:
 class Hypergraph3:
     """An immutable 3-graph: a vertex count and an edge bitmap."""
 
-    __slots__ = ("n", "bits", "_raw", "_triples", "_pair_masks", "_twins", "_twin_of")
+    __slots__ = ("n", "bits", "_raw", "_triples", "_pair_masks", "_twins")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
@@ -179,8 +179,7 @@ class Hypergraph3:
         self._raw: Optional[bytes] = None
         self._triples: Optional[np.ndarray] = None
         self._pair_masks: Optional[tuple[tuple[int, ...], ...]] = None
-        self._twins: Optional[tuple[int, ...]] = None
-        self._twin_of: dict[int, int] = {}  # vertex -> its twin class, filled with _twins
+        self._twins: Optional[dict[int, int]] = None
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[Sequence[int]]) -> "Hypergraph3":
@@ -246,8 +245,8 @@ class Hypergraph3:
             self._pair_masks = tuple(tuple(map(masks.__getitem__, row)) for row in rank.tolist())
         return self._pair_masks
 
-    def twin_classes(self) -> tuple[int, ...]:
-        """Vertex bitmaps of the twin classes of two or more vertices, by least vertex.
+    def twin_classes(self) -> dict[int, int]:
+        """Each vertex that has a twin, mapped to the bitmap of its twin class (shared: read only).
 
         u and v are twins when the swap (u v) is an automorphism: row v with
         entries u and v swapped then has row u's popcounts, and its entries
@@ -263,7 +262,7 @@ class Hypergraph3:
             alike: dict[int, int] = {}
             for v, key in enumerate(profile):
                 alike[key] = alike.get(key, 0) | 1 << v
-            classes, unseen = [], (1 << n) - 1
+            twins, unseen = {}, (1 << n) - 1
             while unseen:
                 u = (unseen & -unseen).bit_length() - 1
                 c = 1 << u
@@ -274,9 +273,8 @@ class Hypergraph3:
                         c |= 1 << v
                 unseen &= ~c
                 if c & (c - 1):
-                    classes.append(c)
-            self._twin_of = {v: c for c in classes for v in _iter_bits(c)}
-            self._twins = tuple(classes)
+                    twins.update(dict.fromkeys(_iter_bits(c), c))
+            self._twins = twins
         return self._twins
 
     def pair_mask(self, u: int, v: int) -> int:
@@ -491,12 +489,14 @@ def loads_h3(text: str) -> Hypergraph3:
     n, m = int(parts[0]), int(parts[1])
     # digits and ASCII whitespace only: loadtxt alone would accept signs, and some numpy
     # versions cast 1.9 or 1e0 to int
-    if bad := body.encode().translate(None, b"0123456789 \t\n\r\v\f\x1c\x1d\x1e\x1f"):
+    raw = body.encode()
+    if bad := raw.translate(None, b"0123456789 \t\n\r\v\f\x1c\x1d\x1e\x1f"):
         raise ValueError(f"edge lines hold only unsigned decimal vertices, found {bad.decode()[0]!r}")
     # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body
     t = np.zeros((0, 3), np.int16)
     if body.strip():  # int16, as the edge array: a larger vertex raises
-        t = np.loadtxt(io.BytesIO(body.encode()), dtype=np.int16, ndmin=2)
+        t = np.loadtxt(io.BytesIO(raw), dtype=np.int16, ndmin=2)
+    del body, raw  # the text copies are dead before the ranks and the bitmap are built
     if t.shape != (m, 3):
         raise ValueError(f"header promises {m} edges, found {t.shape[0]} lines of {t.shape[1]} vertices")
     ranks = _rank_rows(n, t)

@@ -6,36 +6,37 @@ elimination ordering witnessing it.  ``r`` governs how many pair constraints
 the one-pass greedy embedder ever has to satisfy at once.
 
 Embeddings are subgraph embeddings: an injective vertex map under which every
-pattern edge lands on a host edge.  ``embed_covering`` is exhaustive
-(backtracking with pair-neighbourhood pruning); ``greedy_embed`` follows the
-degeneracy ordering in a single forward pass with no backtracking, so a
-failed greedy run is not evidence that no embedding exists.  Every search
-fetches the host's pair table (``Hypergraph3.pair_masks``) once per call; a
-position's candidates are the unused host vertices in the table entry of
-each already-mapped pattern pair that forms an edge with it.  The order of
-the positions, their constraint pairs and their twin bounds form a plan,
-built once per pattern graph and anchor tuple by one cached builder.
+pattern edge lands on a host edge.  ``greedy_embed`` follows the degeneracy
+ordering in a single forward pass with no backtracking, so a failed greedy run
+is not evidence that no embedding exists.  Every search fetches the host's
+pair table (``Hypergraph3.pair_masks``) once per call; a position's candidates
+are the unused host vertices in the table entry of each already-mapped pattern
+pair that forms an edge with it.  The order of the positions, their constraint
+pairs and their twin bounds form a plan, built once per pattern graph and
+anchor tuple by one cached builder.
 
-The exhaustive searches skip the work that the pattern's own symmetry makes
-redundant and return what a search without it would.  ``embed_covering`` puts
-x, and ``edge_extendable`` the edge's least vertex, only at the least vertex
-of each orbit of Aut(F), because an anchor fails iff its whole orbit does.
-Twins (u, v with the swap (u v) an automorphism) placed after the anchors
-must take increasing images; the search returns the least image sequence in
-plan order, whose twin images already increase.  ``uncovered_vertices``
-credits every vertex of a found copy as covered.  ``greedy_embed`` anchors
-every position, so no twin bound applies to it and its lowest-index pick is
-unchanged.
+The exhaustive searches share one driver, ``_search``: it puts given host
+vertices on each of a sequence of anchor tuples of the pattern in turn,
+backtracks over the other positions, and returns the first embedding found,
+or None.  ``embed_covering`` anchors x only at the least vertex of each orbit
+of Aut(F), because an anchor fails iff its whole orbit does, and
+``edge_extendable`` anchors the edge at every ordered triple led by such a
+vertex; ``_orbit_representatives`` finds the orbits with the same driver,
+searching the pattern in itself.  The driver skips the work that two
+symmetries make redundant and returns what a search without them would, the
+least image sequence in plan order:
 
-The host's symmetry is used the same way.  ``Hypergraph3.twin_classes``,
-the test that also labels the pattern's twins, splits the host into twin
-classes.  In ``uncovered_vertices`` a twin of a covered vertex is covered
-and a twin of an uncovered one uncovered, so each class costs at most one
-search.  ``embed_covering`` and ``edge_extendable`` try at each plan
-position only the least free vertex of each class.  With the anchors
-placed, swapping two free twins moves no placed image, so the least image
-sequence, which the search returns, already takes the least free twin at
-every position, and the returned dict is unchanged.
+* pattern twins (u, v with the swap (u v) an automorphism) placed after the
+  anchors take increasing images, as they do in the least sequence;
+* with the anchors placed, swapping two free twins of the host moves no
+  placed image, so each position tries only the least free vertex of each
+  of the host's twin classes (``Hypergraph3.twin_classes``), which the least
+  sequence takes anyway.
+
+``uncovered_vertices`` credits every vertex of a found copy, and its twin
+class, as covered, and the class of a missed vertex as uncovered, so each
+class costs at most one search.  ``greedy_embed`` anchors every position, so
+no twin bound applies to it and its lowest-index pick is unchanged.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph3, _iter_bits
 
@@ -168,14 +169,9 @@ def _orbit_representatives(graph: Hypergraph3) -> tuple[int, ...]:
     automorphism.  Only the representatives' plans are built, and
     ``embed_covering`` needs exactly those.
     """
-    f = graph.n
-    rows, full = graph.pair_masks(), (1 << f) - 1
     reps: list[int] = []
-    for a in range(f):
-        if not any(
-            _backtrack(rows, _plan(graph, (r,)), [a] + [-1] * (f - 1), full & ~(1 << a), 1, {}, 0)
-            for r in reps
-        ):
+    for a in range(graph.n):
+        if _search(graph, graph, (a,), [(r,) for r in reps]) is None:
             reps.append(a)
     return tuple(reps)
 
@@ -209,16 +205,29 @@ def _candidates(rows, step, images: list[int], free: int) -> int:
     return free
 
 
-def _host_classes(host: Hypergraph3, free: int) -> tuple[dict[int, int], int]:
-    """The host's twin class of each vertex in one, and the free vertices with a free twin below."""
-    later = 0
-    for c in host.twin_classes():
+def _search(
+    host: Hypergraph3, graph: Hypergraph3, placed: tuple[int, ...], anchor_tuples: Iterable[tuple[int, ...]]
+) -> Optional[dict[int, int]]:
+    """Put the host vertices ``placed`` on each anchor tuple of the pattern graph in turn
+    and return the least embedding, in plan order, of the first that extends, or None.
+    The one setup and entry point of every exhaustive search."""
+    if host.n < graph.n:
+        return None
+    rows, twins = host.pair_masks(), host.twin_classes()
+    free = ((1 << host.n) - 1) & ~sum(1 << v for v in placed)
+    later = 0  # the free vertices with a free twin below
+    for c in set(twins.values()):
         c &= free
         later |= c & (c - 1)
-    return host._twin_of, later
+    for anchors in anchor_tuples:
+        plan = _plan(graph, anchors)
+        images = list(placed) + [-1] * (graph.n - len(placed))
+        if _backtrack(rows, plan, images, free, len(placed), twins, later):
+            return {plan[i][0]: images[i] for i in range(graph.n)}
+    return None
 
 
-def _backtrack(rows, plan, images: list[int], free: int, pos: int, classes, later: int) -> bool:
+def _backtrack(rows, plan, images: list[int], free: int, pos: int, twins, later: int) -> bool:
     # the anchors are placed, so swapping two free host twins moves no placed image: of each
     # class only the least free twin is tried; v is one, and the next free twin takes its place
     if pos == len(plan):
@@ -226,8 +235,8 @@ def _backtrack(rows, plan, images: list[int], free: int, pos: int, classes, late
     for v in _iter_bits(_candidates(rows, plan[pos], images, free) & ~later):
         images[pos] = v
         rest = free & ~(1 << v)
-        c = classes.get(v, 0) & rest
-        if _backtrack(rows, plan, images, rest, pos + 1, classes, later & ~(c & -c)):
+        c = twins.get(v, 0) & rest
+        if _backtrack(rows, plan, images, rest, pos + 1, twins, later & ~(c & -c)):
             return True
     return False
 
@@ -242,16 +251,7 @@ def embed_covering(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int
     """
     if not 0 <= x < host.n:
         raise ValueError(f"vertex {x} out of range")
-    if host.n < pat.f:
-        return None
-    rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~(1 << x)
-    classes, later = _host_classes(host, free)
-    for anchor in pat._orbit_reps:
-        plan = _plan(pat.graph, (anchor,))
-        images = [x] + [-1] * (pat.f - 1)
-        if _backtrack(rows, plan, images, free, 1, classes, later):
-            return {plan[i][0]: images[i] for i in range(pat.f)}
-    return None
+    return _search(host, pat.graph, (x,), [(a,) for a in pat._orbit_reps])
 
 
 def greedy_embed(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int, int]]:
@@ -285,21 +285,16 @@ def uncovered_vertices(host: Hypergraph3, pat: Pattern) -> tuple[int, ...]:
     of a covered vertex is covered and a twin of an uncovered one uncovered,
     so each of the host's twin classes needs at most one search.
     """
-    covered = missed = 0
+    twins, covered, missed = host.twin_classes(), 0, 0
     for x in range(host.n):
         if (covered | missed) >> x & 1:
             continue
         emb = embed_covering(host, x, pat)
         if emb is None:
-            missed |= 1 << x
+            missed |= twins.get(x, 1 << x)
         else:
             for v in emb.values():
-                covered |= 1 << v
-        for c in host.twin_classes():
-            if covered & c:
-                covered |= c
-            elif missed & c:
-                missed |= c
+                covered |= twins.get(v, 1 << v)
     return tuple(_iter_bits(missed))
 
 
@@ -308,16 +303,9 @@ def edge_extendable(host: Hypergraph3, e: Sequence[int], pat: Pattern) -> bool:
     a, b, c = sorted(e)
     if not host.contains(a, b, c):
         raise ValueError(f"{(a, b, c)} is not an edge of the host")
-    if host.n < pat.f:
-        return False
-    rows, free = host.pair_masks(), ((1 << host.n) - 1) & ~((1 << a) | (1 << b) | (1 << c))
-    classes, later = _host_classes(host, free)
     # abc is a host edge, so a pattern edge among the three anchors always lands on one
-    for anchors in (t for t in permutations(range(pat.f), 3) if t[0] in pat._orbit_reps):
-        images = [a, b, c] + [-1] * (pat.f - 3)
-        if _backtrack(rows, _plan(pat.graph, anchors), images, free, 3, classes, later):
-            return True
-    return False
+    anchors = (t for t in permutations(range(pat.f), 3) if t[0] in pat._orbit_reps)
+    return _search(host, pat.graph, (a, b, c), anchors) is not None
 
 
 # unbounded, like the pattern catalog: one small entry per pattern graph and anchor tuple searched
@@ -343,14 +331,14 @@ def _plan(graph: Hypergraph3, anchors: tuple[int, ...]):
         nxt = max(remaining, key=score)
         placed.append(nxt)
         remaining.remove(nxt)
-    table, classes = graph.pair_masks(), graph.twin_classes()
+    table, twins = graph.pair_masks(), graph.twin_classes()
     latest: dict[int, int] = {}
     steps = []
     for i, v in enumerate(placed):
         cons = tuple((j, k) for j, k in combinations(range(i), 2) if table[placed[j]][placed[k]] >> v & 1)
         twin = -1
         if i >= len(anchors):
-            cls = next((c for c in classes if c >> v & 1), 1 << v)
+            cls = twins.get(v, 1 << v)
             twin = latest.get(cls, -1)
             latest[cls] = i
         steps.append((v, cons, twin))

@@ -130,8 +130,8 @@ def test_greedy_cover_bound_rejects_small_host():
 
 
 def assert_twin_classes(g):
-    classes = [tuple(v for v in range(g.n) if c >> v & 1) for c in g.twin_classes()]
-    assert classes == [c for c in oracles.twin_classes(g) if len(c) > 1]
+    classes = [c for c in oracles.twin_classes(g) if len(c) > 1]
+    assert g.twin_classes() == {v: sum(1 << u for u in c) for c in classes for v in c}
 
 
 def assert_symmetry_data(pat):
@@ -321,16 +321,18 @@ def test_f3_apex_never_in_c5():
     ),
     st.sampled_from(["K4", "K4-", "C5", "F32"]),
 )
+# complete hosts smaller than the pattern
+@example((4, 15), "C5")
+@example((4, 15), "F32")
 def test_embed_covering_matches_brute_force(host_spec, name):
     n, bits = host_spec
     pat = pattern(name)
-    if n < pat.f:
-        return
     host = Hypergraph3(n, bits)
     for x in range(n):
         assert (embed_covering(host, x, pat) is not None) == oracles.embeds_through(
             host, x, pat
         )
+    assert uncovered_vertices(host, pat) == oracles.uncovered(host, pat)
 
 
 @settings(max_examples=40, deadline=None)
@@ -418,7 +420,7 @@ def test_uncovered_searches_only_through_uncredited_vertices(monkeypatch):
     # covers 0..3; each later copy covers its own vertex and 0, 1, 2
     removed = {(0, 3, 4), (1, 3, 4), (1, 3, 5), (1, 6, 7), (3, 4, 5), (3, 4, 6)}
     host = build(8, [t for t in combinations(range(8), 3) if t not in removed])
-    assert host.twin_classes() == ()
+    assert host.twin_classes() == {}
     searched = []
     search = patterns.embed_covering
 
