@@ -17,13 +17,14 @@ text cells from a per-vertex table of NUL-padded byte strings in one index
 and drops the block's padding.  ``contains`` reads one bit; ``from_triples``
 ranks whole vertex arrays at once.
 
-Every pair query reads one table, built lazily from the same array in one
-packed pass (``pair_masks``): entry [u][v] is the vertex bitmap of the joint
-neighbourhood of u and v.  ``pair_mask``, ``codegree`` and ``neighborhood``
-read one entry, ``min_codegree`` the least popcount, a ``LinkGraph`` is one
-row, and the embedding searches of ``patterns`` index the table directly.
-The same table splits the vertices into twin classes (``twin_classes``),
-cached beside it.
+Every pair query reads one table, built lazily from the same array
+(``pair_masks``): the edges flag a bool matrix of pairs by vertices, and
+``np.packbits`` packs each row.  Entry [u][v] is the vertex bitmap of the
+joint neighbourhood of u and v.  ``pair_mask``, ``codegree`` and
+``neighborhood`` read one entry, ``min_codegree`` the least popcount, a
+``LinkGraph`` is one row, and the embedding searches of ``patterns`` index
+the table directly.  The same table splits the vertices into twin classes
+(``twin_classes``), cached beside it.
 
 Two interchangeable text encodings are supported by ``dumps_h3``/``loads_h3``:
 
@@ -151,9 +152,9 @@ def _rank_rows(n: int, t: np.ndarray) -> np.ndarray:
 
 def _bitmap(ranks: np.ndarray) -> int:
     """The int with exactly the bits at the given positions set."""
-    buf = np.zeros(int(ranks.max()) // 8 + 1 if len(ranks) else 0, dtype=np.uint8)
-    np.bitwise_or.at(buf, ranks >> 3, np.left_shift(np.uint8(1), (ranks & 7).astype(np.uint8)))
-    return int.from_bytes(buf.tobytes(), "little")
+    flags = np.zeros(int(ranks.max()) + 1 if len(ranks) else 0, dtype=bool)
+    flags[ranks] = True
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def _set_bits(raw: bytes) -> np.ndarray:
@@ -228,16 +229,13 @@ class Hypergraph3:
         """The pair table: entry [u][v] is the vertex bitmap of the w such that
         uvw is an edge, the same int object as [v][u]; entry [u][u] is 0."""
         if self._pair_masks is None:
-            # row r packs the bitmap of the pair of rank r; row C(n,2) stays 0 for the diagonal
+            # row r flags the neighbours of the pair of rank r; row C(n,2) stays 0 for the diagonal
             n, t = self.n, self.edge_array()
             c2 = _binomials(n)[0]
             keys = np.concatenate([c2[t[:, j]] + t[:, i] for i, j in ((0, 1), (0, 2), (1, 2))])
-            third = np.concatenate([t[:, 2], t[:, 1], t[:, 0]])
-            packed = np.zeros((comb(n, 2) + 1, (n + 7) // 8), dtype=np.uint8)
-            flat = keys.astype(np.int64) if packed.size >> 31 else keys  # int32 below 2**31 bytes
-            flat *= packed.shape[1]
-            flat += third >> 3  # the byte of row keys that holds bit third
-            np.bitwise_or.at(packed.reshape(-1), flat, np.uint8(1) << (third & 7).astype(np.uint8))
+            flags = np.zeros((comb(n, 2) + 1, n), dtype=bool)
+            flags[keys, np.concatenate([t[:, 2], t[:, 1], t[:, 0]])] = True
+            packed = np.packbits(flags, axis=1, bitorder="little")
             masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
             v = np.arange(n)
             rank = c2[np.maximum.outer(v, v)] + np.minimum.outer(v, v)

@@ -18,6 +18,7 @@ from h3cover import (
     f1_variant,
     f2,
     admissible_sample,
+    greedy_cover_bound,
     pattern,
     pattern_from_graph,
     recover_partition,
@@ -68,6 +69,16 @@ def test_bounds_fano_f32():
     assert (br.lower, br.upper) == (10, 14)
     br = c2_bounds(pattern("F32"), 12)
     assert (br.lower, br.upper) == (3, 6)
+
+
+@pytest.mark.parametrize("name", ["K6-", "C6", "C7", "STS:9"])
+def test_bounds_without_a_closed_form_use_the_greedy_upper_bound(name):
+    # K_t- for t >= 6 keeps the K4 lower bound; C6, C7 and STS:9 have none
+    pat = pattern(name)
+    for n in range(pat.f, 31):
+        br = c2_bounds(pat, n)
+        assert br.lower <= br.upper == greedy_cover_bound(pat, n)
+        assert br.lower == ((2 * n - 5) // 3 if name == "K6-" else 0)
 
 
 def test_bounds_big_cliques_use_blowups():

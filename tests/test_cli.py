@@ -74,6 +74,25 @@ def test_construct_sts_infeasible_exits_2(tmp_path, capsys):
     assert "1,3 mod 6" in err
 
 
+def test_claims_sidecar_of_an_output_without_h3_suffix(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    code, stdout, _ = run(capsys, "construct", "f1", "--n", "9", "-o", str(out))
+    assert code == 0
+    assert json.loads(stdout)["claims_path"] == str(tmp_path / "g.txt.claims.json")
+    assert (tmp_path / "g.txt.claims.json").exists()
+    code, _, _ = run(capsys, "verify", "--in", str(out), "--pattern", "K4")
+    assert code == 0
+
+
+@pytest.mark.parametrize("name", ["f1", "sts"])
+def test_construct_without_size_option_exits_2(tmp_path, capsys, name):
+    code, stdout, err = run(capsys, "construct", name, "-o", str(tmp_path / "g.h3"))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "g.h3").exists()
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "cover", "--in", str(tmp_path / "nope.h3"), "--pattern", "K4")
     assert code == 1

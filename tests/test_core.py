@@ -18,6 +18,7 @@ from h3cover import (
     f3,
     loads_h3,
     pair_rank,
+    steiner,
     triple_rank,
     triple_unrank,
 )
@@ -70,6 +71,12 @@ def test_ranks_enumerate_all_triples():
     assert ranks == list(range(comb(n, 3)))
     pranks = sorted(pair_rank(u, v) for u, v in combinations(range(n), 2))
     assert pranks == list(range(comb(n, 2)))
+
+
+@given(st.lists(st.integers(0, 20_000), max_size=200))
+def test_bitmap_sets_exactly_the_given_ranks(ranks):
+    # repeats and any order: the packed flags give the same int as the sum of distinct bits
+    assert core._bitmap(np.array(ranks, dtype=np.int64)) == sum(1 << r for r in set(ranks))
 
 
 # -- build -------------------------------------------------------------------
@@ -128,9 +135,18 @@ def test_codegree_empty_graph():
 @pytest.mark.parametrize("g", [
     f1(13)[0],
     f1_variant("0", admissible_sample("0", 30, 1), 30)[0],
-], ids=["f1_13", "f1e_30"])
+    steiner(31),
+    f1(17)[0],
+    Hypergraph3(0),
+    Hypergraph3(1),
+    Hypergraph3(2),
+], ids=["f1_13", "f1e_30", "sts_31", "f1_17", "empty_0", "empty_1", "empty_2"])
 def test_pair_masks_match_membership(g):
-    # packed rows of 2 and 4 bytes: bits past the first byte of a row must land in it
+    # rows pack into 2, 3 and 4 bytes (f1_17's last byte holds one bit; sts_31 is sparse), and
+    # hosts with at most one pair: bits past the first byte of a row must land in it
+    table = g.pair_masks()
+    assert len(table) == g.n and all(len(row) == g.n and row[u] == 0 for u, row in enumerate(table))
+    assert all(table[u][v] is table[v][u] for u, v in combinations(range(g.n), 2))
     edges = set(oracles.triples_of(g))
     for u, v in combinations(range(g.n), 2):
         assert g.pair_mask(u, v) == sum(1 << w for w in range(g.n) if tuple(sorted((u, v, w))) in edges)
