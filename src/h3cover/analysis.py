@@ -3,13 +3,15 @@ classification, and partition recovery.
 
 ``c2_exact`` computes, by exhaustion, the largest minimum codegree among
 n-vertex hosts in which some vertex lies in no copy of the pattern.  One
-engine serves every n <= 7: a depth-first search over edge bitmap prefixes
+engine serves every n <= 8: a depth-first search over edge bitmap prefixes
 with one slack counter per pair, run for descending targets and bounded by
-an optional time budget.  A leaf host leaves a vertex uncovered when every
-copy of the pattern through that vertex has an absent edge; the copies'
-edge and vertex bitmaps are read once per search off core's table of the
-n! vertex relabelings.  The witness is the numerically least edge bitmap
-among optimal hosts, re-checked with the covering search of ``patterns``.
+an optional time budget.  Each copy of the pattern in K_n (each labelling
+of the pattern placed onto each f-subset) keeps a count of its edges not
+yet decided present; a copy whose count reaches 0 adds its vertices to the
+covered set, and a subtree whose covered set is full is cut, since coverage
+only grows with edges.  So every leaf reached leaves a vertex uncovered.
+The witness is the numerically least edge bitmap among optimal hosts,
+re-checked with the covering search of ``patterns``.
 
 The link configuration of an outside vertex y against an anchored 4-set
 {a, b, c, x} is which of the six pairs of the 4-set form an edge with y.
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Hypergraph3, _relabeled_bitmaps, triple_table, pair_rank
+from .core import EXACT_MODE_CAP, Hypergraph3, pair_rank, triple_table
 from .constructions import ConstructionClaims, Tripartition
 from .patterns import Pattern, greedy_cover_bound, uncovered_vertices
 
@@ -193,72 +195,81 @@ class SearchReport:
 
 
 def _copies(pat: Pattern, n: int) -> list[tuple[int, int]]:
-    """(edge bitmap, vertex bitmap) of every copy of the pattern in K_n: the
-    p-th of the n! relabelings sends pattern vertex v to entry v of p."""
-    edges = _relabeled_bitmaps(Hypergraph3(n, pat.graph.bits), "c2_exact")
-    verts = (1 << np.array(list(permutations(range(n))))[:, :pat.f]).sum(axis=1)
-    return list(dict.fromkeys(zip(edges.tolist(), verts.tolist())))
-
-
-def _uncovered_mask(copies: list[tuple[int, int]], n: int, bits: int) -> int:
-    """Bitmap of the vertices in no copy present in the n-vertex host with edge
-    bitmap bits; a copy is present when all its edges are."""
-    full, covered = (1 << n) - 1, 0
-    for edges, verts in copies:
-        if edges & bits == edges:
-            covered |= verts
-            if covered == full:
-                return 0
-    return full & ~covered
+    """(edge bitmap, vertex bitmap) of every copy of the pattern in K_n: each
+    distinct labelling of the pattern on its own f vertices, placed in order
+    onto each f-subset of [n].  No pair repeats, though a pattern with an
+    isolated vertex has copies with equal edges on different vertex sets."""
+    edges = list(pat.graph.edges())
+    labellings = {frozenset(frozenset((p[a], p[b], p[c])) for a, b, c in edges) for p in permutations(range(pat.f))}
+    rank = {frozenset(t): r for r, t in enumerate(triple_table(n).tolist())}
+    return [
+        (sum(1 << rank[frozenset(s[v] for v in e)] for e in lab), sum(1 << v for v in s))
+        for s in combinations(range(n), pat.f) for lab in labellings
+    ]
 
 
 def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> SearchReport:
-    """Exact covering codegree threshold at one n, by exhaustion (f <= n <= 7).
+    """Exact covering codegree threshold at one n, by exhaustion (f <= n <= 8).
 
     For t = n - 2, n - 3, ... a pruned depth-first search visits the hosts of
     minimum codegree >= t in increasing bitmap order; the first t with a host
     that leaves a vertex uncovered is the value, and that host (the least
-    optimal bitmap) the witness.  ``graphs_scanned`` counts the hosts checked.
-    A budget overrun yields a report flagged non-exhaustive with no value,
-    never presented as exact.
+    optimal bitmap) the witness.  ``graphs_scanned`` counts the search nodes
+    (partial hosts deciding every triple above some rank) over all targets
+    tried.  A budget overrun yields a report flagged non-exhaustive with no
+    value, never presented as exact.
     """
     if n < pat.f:
         raise ValueError(f"need n >= {pat.f}")
-    if n > 7:
-        raise ValueError("exact search handles n <= 7")
+    if n > EXACT_MODE_CAP:
+        raise ValueError(f"exact search handles n <= {EXACT_MODE_CAP}")
     if budget_seconds is not None and not budget_seconds >= 0:
         raise ValueError(f"budget_seconds must be >= 0, got {budget_seconds}")
 
     t0 = time.monotonic()
     deadline = t0 + budget_seconds if budget_seconds is not None else None
-    copies = _copies(pat, n)
-    pair_ids = [tuple(pair_rank(u, v) for u, v in combinations(t, 2)) for t in triple_table(n).tolist()]
-    nodes = leaves = 0
+    copy_edges, copy_verts = zip(*_copies(pat, n))
+    # missing[i]: edges of copy i not yet decided present; users[r]: the copies through triple r
+    missing = [e.bit_count() for e in copy_edges]
+    triples = triple_table(n).tolist()
+    users = [[i for i, e in enumerate(copy_edges) if e >> r & 1] for r in range(len(triples))]
+    pair_ids = [tuple(pair_rank(u, v) for u, v in combinations(t, 2)) for t in triples]
+    full, nodes = (1 << n) - 1, 0
 
-    def feasible(rank: int, bits: int) -> Optional[int]:
-        # visits exactly the bitmaps whose every pair reaches the target codegree,
-        # in increasing numeric order; returns the first with an uncovered vertex
-        nonlocal nodes, leaves
+    def feasible(rank: int, bits: int, covered: int) -> Optional[int]:
+        # visits exactly the prefixes whose every pair can still reach the target
+        # codegree and whose present copies leave a vertex uncovered, in increasing
+        # numeric order; coverage only grows with edges, so every leaf is a witness
+        nonlocal nodes
         nodes += 1
-        if deadline is not None and (rank < 0 or nodes % 4096 == 0) and time.monotonic() > deadline:
+        # the clock is read at the first node, so a zero budget always truncates, then every 1024
+        if deadline is not None and nodes % 1024 == 1 and time.monotonic() > deadline:
             raise TimeoutError
         if rank < 0:
-            leaves += 1
-            return bits if _uncovered_mask(copies, n, bits) else None
+            return bits
         ps = pair_ids[rank]
         for p in ps:
             slack[p] -= 1
-        found = feasible(rank - 1, bits) if min(map(slack.__getitem__, ps)) >= 0 else None
+        found = feasible(rank - 1, bits, covered) if min(map(slack.__getitem__, ps)) >= 0 else None
         for p in ps:
             slack[p] += 1
-        return found if found is not None else feasible(rank - 1, bits | (1 << rank))
+        if found is not None:
+            return found
+        for i in users[rank]:
+            missing[i] -= 1
+            if not missing[i]:
+                covered |= copy_verts[i]
+        found = feasible(rank - 1, bits | (1 << rank), covered) if covered != full else None
+        for i in users[rank]:
+            missing[i] += 1
+        return found
 
     value = bits = note = None
     for target in range(n - 2, -1, -1):
         # slack[p]: how many more triples of pair p may be absent with the target still reachable
         slack = [n - 2 - target] * comb(n, 2)
         try:
-            bits = feasible(len(pair_ids) - 1, 0)
+            bits = feasible(len(pair_ids) - 1, 0, 0)
         except TimeoutError:
             note = f"budget exhausted while testing target {target}; value <= {target}"
             break
@@ -282,7 +293,7 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
         value=value,
         witness=witness,
         uncovered_vertex=uncovered_vertex,
-        graphs_scanned=leaves,
+        graphs_scanned=nodes,
         exhaustive=note is None,
         wall_ms=wall_ms,
         note=note,

@@ -141,17 +141,51 @@ def c2_brute(pat, n, hypergraph_cls):
     return best_val, best_bits
 
 
-def search_leaves(n, value, witness_bits, hypergraph_cls):
-    """Hosts a descending-target exact search checks before it stops.
+def copies(pat, n):
+    """(edge bitmap, vertex bitmap) of every copy of the pattern in K_n, one
+    injective map of its vertices into range(n) at a time, without repeats."""
+    pedges = triples_of(pat.graph)
+    return sorted({
+        (sum(1 << triple_rank(img[a], img[b], img[c]) for a, b, c in pedges), sum(1 << v for v in img))
+        for img in permutations(range(n), pat.f)
+    })
 
-    For each target above the value, every host of min codegree >= target;
-    then the hosts of min codegree >= value up to and including the witness.
+
+def search_nodes(pat, n, value, witness_bits):
+    """Nodes a descending-target exact search visits before it stops.
+
+    A node decides every triple of rank >= r, for some r (the root decides
+    none).  For a target t it is visited when no pair lies in more than
+    n - 2 - t of its absent triples and the copies of the pattern whose edges
+    are all present in it leave some vertex uncovered.  Every such node counts
+    for each target above the value; for the value, only those at or before
+    the witness in depth-first order, absent before present, which are the
+    ones whose present triples read as a number at most the witness's present
+    triples of rank >= r.
     """
     from math import comb
 
-    mins = [min_codegree(hypergraph_cls(n, bits)) for bits in range(1 << comb(n, 3))]
-    above = sum(sum(1 for d in mins if d >= t) for t in range(value + 1, n - 1))
-    return above + sum(1 for d in mins[: witness_bits + 1] if d >= value)
+    m = comb(n, 3)
+    triples = sorted(combinations(range(n), 3), key=lambda t: triple_rank(*t))
+    pairs = list(combinations(range(n), 2))
+    present_copies = copies(pat, n)
+    count = 0
+    for target in range(n - 2, value - 1, -1):
+        for r in range(m + 1):
+            for high in range(1 << (m - r)):
+                decided = high << r
+                if target == value and decided > witness_bits >> r << r:
+                    continue
+                absent = [triples[k] for k in range(r, m) if not decided >> k & 1]
+                if any(sum(1 for t in absent if u in t and v in t) > n - 2 - target for u, v in pairs):
+                    continue
+                covered = 0
+                for edges, verts in present_copies:
+                    if edges & decided == edges:
+                        covered |= verts
+                if covered != (1 << n) - 1:
+                    count += 1
+    return count
 
 
 def canonical_bitmap(g):

@@ -150,7 +150,7 @@ def test_c2_exact_k4_4_matches_brute_force():
     assert rep.value == val == 1
     assert rep.witness.bits == bits
     assert rep.exhaustive
-    assert rep.graphs_scanned == oracles.search_leaves(4, val, bits, Hypergraph3) == 2
+    assert rep.graphs_scanned == oracles.search_nodes(pattern("K4"), 4, val, bits) == 9
 
 
 def test_c2_exact_k4_5_matches_brute_force():
@@ -158,7 +158,7 @@ def test_c2_exact_k4_5_matches_brute_force():
     val, bits = oracles.c2_brute(pattern("K4"), 5, Hypergraph3)
     assert rep.value == val == 2
     assert rep.witness.bits == bits
-    assert rep.graphs_scanned == oracles.search_leaves(5, val, bits, Hypergraph3) == 2
+    assert rep.graphs_scanned == oracles.search_nodes(pattern("K4"), 5, val, bits) == 19
 
 
 @pytest.mark.parametrize("name", ["C5", "K4-", "K5", "K5-", "F32"])
@@ -168,31 +168,44 @@ def test_c2_exact_n5_matches_brute_force(name):
     val, bits = oracles.c2_brute(pat, 5, Hypergraph3)
     assert rep.value == val
     assert rep.witness.bits == bits
-    assert rep.graphs_scanned == oracles.search_leaves(5, val, bits, Hypergraph3)
+    assert rep.graphs_scanned == oracles.search_nodes(pat, 5, val, bits)
 
 
 # (pattern, n, value, witness bitmap, uncovered vertex), each row agreed on by
-# the pruned DFS and a full scan of every edge bitmap (n <= 6) or by the DFS
-# with and without an isomorphism cache (n = 7)
+# the pruned DFS and a full scan of every edge bitmap (n <= 6), by the DFS
+# with and without an isomorphism cache (K4, K5, K5- at n = 7), or by the DFS
+# that tests coverage at every leaf and the one that cuts a subtree once its
+# present copies cover every vertex (C6, C7, Fano, F32 at n = 7); the rest
+# (K4-, C5 at n = 7 and every n = 8 row) come from the cutting DFS alone.
+# Every witness is re-checked by brute force.
 EXACT_TABLE = [
     ("K4", 4, 1, 7, 0),
     ("K4", 5, 2, 495, 4),
     ("K4", 6, 2, 227823, 4),
     ("K4", 7, 3, 8045192191, 5),
+    ("K4", 8, 4, 17715120715717591, 2),
     ("K4-", 4, 0, 0, 0),
     ("K4-", 5, 1, 184, 0),
     ("K4-", 6, 2, 242467, 0),
+    ("K4-", 7, 2, 3466965763, 1),
     ("K5", 5, 2, 495, 0),
     ("K5", 6, 3, 520157, 0),
     ("K5", 7, 4, 17145247551, 0),
+    ("K5", 8, 5, 36011067117123567, 0),
     ("K5-", 5, 2, 495, 0),
     ("K5-", 6, 3, 520157, 0),
     ("K5-", 7, 4, 17145247551, 0),
+    ("K5-", 8, 4, 17449644616304495, 0),
     ("C5", 5, 1, 183, 0),
     ("C5", 6, 2, 241500, 0),
+    ("C5", 7, 2, 3454379667, 2),
     ("C6", 6, 2, 228023, 0),
+    ("C6", 7, 3, 8286746423, 0),
+    ("C7", 7, 3, 8052781859, 0),
+    ("Fano", 7, 3, 8045199358, 0),
     ("F32", 5, 1, 183, 0),
     ("F32", 6, 2, 242467, 0),
+    ("F32", 7, 2, 3468931875, 4),
 ]
 
 
@@ -201,6 +214,11 @@ def test_c2_exact_table(name, n, value, bits, vertex):
     rep = c2_exact(pattern(name), n)
     assert rep.exhaustive
     assert (rep.value, rep.witness.bits, rep.uncovered_vertex) == (value, bits, vertex)
+    bracket = c2_bounds(pattern(name), n)
+    assert bracket.lower <= value <= bracket.upper
+    host = Hypergraph3(n, bits)
+    assert oracles.min_codegree(host) == value
+    assert not oracles.embeds_through(host, vertex, pattern(name))
 
 
 def test_c2_exact_within_theorem_bracket():
@@ -211,8 +229,8 @@ def test_c2_exact_within_theorem_bracket():
 
 
 def test_c2_exact_budget_yields_partial():
-    # C5 at n = 7 runs for minutes; K4 at n = 7 can finish inside 0.05 s
-    rep = c2_exact(pattern("C5"), 7, budget_seconds=0.05)
+    # C5 at n = 8 runs for minutes; every pattern finishes at n = 7 within 2 s
+    rep = c2_exact(pattern("C5"), 8, budget_seconds=0.05)
     assert not rep.exhaustive
     assert rep.note is not None
     assert rep.value is None
@@ -220,9 +238,9 @@ def test_c2_exact_budget_yields_partial():
 
 @pytest.mark.parametrize("name", ["K4", "K4-", "C5"])
 def test_c2_exact_budget_overrun_is_bounded(name):
-    # a budget well inside K4's whole search at n = 7 (about 0.05 s on 2 cores)
+    # a budget well inside K4's whole search at n = 8 (about 2 s on 2 cores)
     t0 = time.perf_counter()
-    rep = c2_exact(pattern(name), 7, budget_seconds=0.01)
+    rep = c2_exact(pattern(name), 8, budget_seconds=0.01)
     elapsed = time.perf_counter() - t0
     assert not rep.exhaustive
     assert elapsed - 0.01 < 0.05
@@ -232,7 +250,7 @@ def test_c2_exact_rejects_small_n():
     with pytest.raises(ValueError):
         c2_exact(pattern("K4"), 3)
     with pytest.raises(ValueError):
-        c2_exact(pattern("K4"), 8)
+        c2_exact(pattern("K4"), 9)
 
 
 @pytest.mark.parametrize("budget", [-1, float("nan")])
@@ -241,22 +259,38 @@ def test_c2_exact_rejects_negative_budget(budget):
         c2_exact(pattern("K4"), 5, budget_seconds=budget)
 
 
-# the last pattern has an isolated vertex: a copy covers a vertex its edges miss
-@pytest.mark.parametrize(
+# the last pattern has an isolated vertex: a copy covers a vertex its edges
+# miss, and copies with equal edges on different vertex sets are distinct
+COPY_PATTERNS = pytest.mark.parametrize(
     "pat",
     [pattern(name) for name in ("K4", "K4-", "C5", "F32", "Fano")]
     + [pattern_from_graph("K4+1", build(5, combinations(range(4), 3)))],
     ids=lambda pat: pat.name,
 )
+
+
+@COPY_PATTERNS
+def test_copies_match_oracle(pat):
+    for n in range(pat.f, 9):
+        assert sorted(analysis._copies(pat, n)) == oracles.copies(pat, n), n
+
+
+@COPY_PATTERNS
 def test_leaf_uncovered_mask_matches_oracle(pat):
+    # the rule behind the search's cut: a host leaves uncovered exactly the
+    # vertices in none of the copies whose edges it all has
     rng = random.Random(pat.name)
     for n in range(max(5, pat.f), 8):
         copies = analysis._copies(pat, n)
         # densities at which some draws leave part of the vertices uncovered
         for density in (0.4, 0.4, 0.6, 0.6, 0.75, 0.75, 0.85, 0.85):
             host = Hypergraph3(n, sum(1 << r for r in range(comb(n, 3)) if rng.random() < density))
+            covered = 0
+            for edges, verts in copies:
+                if edges & host.bits == edges:
+                    covered |= verts
             want = sum(1 << x for x in oracles.uncovered(host, pat))
-            assert analysis._uncovered_mask(copies, n, host.bits) == want, (n, host.bits)
+            assert (1 << n) - 1 & ~covered == want, (n, host.bits)
 
 
 def test_exact_search_leaves_skip_the_covering_engine(monkeypatch):

@@ -114,7 +114,7 @@ def test_search_small(capsys):
     assert payload["value"] == 1
     assert payload["exhaustive"] is True
     val, bits = oracles.c2_brute(pattern("K4"), 4, Hypergraph3)
-    assert payload["graphs_scanned"] == oracles.search_leaves(4, val, bits, Hypergraph3)
+    assert payload["graphs_scanned"] == oracles.search_nodes(pattern("K4"), 4, val, bits) == 9
     assert set(payload) == {
         "schema", "command", "pattern", "n", "value", "exhaustive", "graphs_scanned",
         "witness", "uncovered_vertex", "note",
@@ -122,9 +122,9 @@ def test_search_small(capsys):
 
 
 def test_search_budget_exit_code(capsys):
-    # C5 at n = 7 runs for minutes; K4 at n = 7 can finish inside 0.05 s
+    # C5 at n = 8 runs for minutes; every pattern finishes at n = 7 within 2 s
     code, stdout, _ = run(
-        capsys, "search", "--pattern", "C5", "--n", "7", "--budget-seconds", "0.05"
+        capsys, "search", "--pattern", "C5", "--n", "8", "--budget-seconds", "0.05"
     )
     assert code == 4
     payload = json.loads(stdout)
@@ -132,10 +132,10 @@ def test_search_budget_exit_code(capsys):
 
 
 def test_truncated_search_json_is_deterministic(capsys):
-    # a zero budget stops before the first leaf, 0.05 s after a host-dependent number of them
+    # a zero budget stops at the first node, 0.05 s after a host-dependent number of them
     outputs = []
     for budget in ("0", "0.05"):
-        code, stdout, _ = run(capsys, "search", "--pattern", "C5", "--n", "7", "--budget-seconds", budget)
+        code, stdout, _ = run(capsys, "search", "--pattern", "C5", "--n", "8", "--budget-seconds", budget)
         assert code == 4
         outputs.append(stdout)
     assert outputs[0] == outputs[1]
