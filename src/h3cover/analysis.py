@@ -25,13 +25,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .core import EXACT_MODE_CAP, Hypergraph3, pair_rank, triple_table
+from .core import EXACT_MODE_CAP, Hypergraph3, _iter_bits, pair_rank, triple_table
 from .constructions import ConstructionClaims, Tripartition
 from .patterns import Pattern, greedy_cover_bound, uncovered_vertices
 
@@ -199,11 +199,24 @@ def _copies(pat: Pattern, n: int) -> list[tuple[int, int]]:
     distinct labelling of the pattern on its own f vertices, placed in order
     onto each f-subset of [n].  No pair repeats, though a pattern with an
     isolated vertex has copies with equal edges on different vertex sets."""
-    edges = list(pat.graph.edges())
-    labellings = {frozenset(frozenset((p[a], p[b], p[c])) for a, b, c in edges) for p in permutations(range(pat.f))}
-    rank = {frozenset(t): r for r, t in enumerate(triple_table(n).tolist())}
+    # a labelling is its sorted tuple of sorted edges; adjacent transpositions
+    # generate every permutation, so closing the pattern under them finds all.
+    # Swapping i and i + 1 keeps an edge sorted unless it holds both, and then
+    # leaves it as it is
+    seed = tuple(sorted(pat.graph.edges()))
+    swaps = [[*range(i), i + 1, i, *range(i + 2, pat.f)] for i in range(pat.f - 1)]
+    labellings, todo = {seed}, [seed]
+    while todo:
+        lab = todo.pop()
+        for i, p in enumerate(swaps):
+            image = tuple(sorted(e if i in e and i + 1 in e else (p[e[0]], p[e[1]], p[e[2]]) for e in lab))
+            if image not in labellings:
+                labellings.add(image)
+                todo.append(image)
+    # on an ascending subset s the edge a < b < c keeps its order, so its rank is read off s
+    c2, c3 = [comb(v, 2) for v in range(n)], [comb(v, 3) for v in range(n)]
     return [
-        (sum(1 << rank[frozenset(s[v] for v in e)] for e in lab), sum(1 << v for v in s))
+        (sum(1 << (s[a] + c2[s[b]] + c3[s[c]]) for a, b, c in lab), sum(1 << v for v in s))
         for s in combinations(range(n), pat.f) for lab in labellings
     ]
 
@@ -230,9 +243,12 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
     deadline = t0 + budget_seconds if budget_seconds is not None else None
     copy_edges, copy_verts = zip(*_copies(pat, n))
     # missing[i]: edges of copy i not yet decided present; users[r]: the copies through triple r
-    missing = [e.bit_count() for e in copy_edges]
+    missing = [pat.graph.num_edges] * len(copy_edges)
     triples = triple_table(n).tolist()
-    users = [[i for i, e in enumerate(copy_edges) if e >> r & 1] for r in range(len(triples))]
+    users: list[list[int]] = [[] for _ in triples]
+    for i, e in enumerate(copy_edges):
+        for r in _iter_bits(e):
+            users[r].append(i)
     pair_ids = [tuple(pair_rank(u, v) for u, v in combinations(t, 2)) for t in triples]
     full, nodes = (1 << n) - 1, 0
 

@@ -127,7 +127,7 @@ def cmd_search(args) -> int:
     pat = pattern(args.pattern)
     rep = c2_exact(pat, args.n, budget_seconds=args.budget_seconds)
     # how far a truncated search got depends on the host's speed, so its JSON
-    # leaves out the leaf count and the target (table mode shows both)
+    # leaves out the node count and the target (table mode shows both)
     payload = {
         "pattern": rep.pattern,
         "n": rep.n,

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import io
 import re
+from functools import cache
 from itertools import combinations, permutations
 from math import comb, isqrt
 from typing import Iterable, Iterator, Optional, Sequence
@@ -67,7 +68,8 @@ __all__ = [
 ]
 
 # Largest vertex count for which whole-group operations (canonical keys,
-# exact edit distance) enumerate all n! relabelings.
+# exact edit distance) enumerate all n! relabelings, and for which the exact
+# threshold search (analysis.c2_exact) runs.
 EXACT_MODE_CAP = 8
 
 # edges() turns this many rows of the edge array into tuples at a time, dumps_h3 into text
@@ -277,7 +279,10 @@ class Hypergraph3:
 
     def pair_mask(self, u: int, v: int) -> int:
         """Vertex bitmap of the joint neighbourhood of the pair {u,v}."""
-        self._check_pair(u, v)
+        if u == v:
+            raise ValueError(f"pair has a repeated vertex: {(u, v)}")
+        self._check_vertex(u)
+        self._check_vertex(v)
         return self.pair_masks()[u][v]
 
     def codegree(self, u: int, v: int) -> int:
@@ -338,18 +343,14 @@ class Hypergraph3:
         if not 0 <= x < self.n:
             raise ValueError(f"vertex {x} out of range 0..{self.n - 1}")
 
-    def _check_pair(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError(f"pair has a repeated vertex: {(u, v)}")
-        self._check_vertex(u)
-        self._check_vertex(v)
-
 
 class LinkGraph:
     """The link of x: the pairs uv with uvx an edge of the owning graph.
 
     A view of row x of the owner's pair table, whose entry u is the bitmap of
-    u's neighbours in the link.
+    u's neighbours in the link.  Pair questions go to the owner g:
+    ``g.contains(u, v, x)``, ``g.pair_mask(x, u)``, ``g.codegree(x, u)`` and
+    ``g.degree(x)``, the link's pair count.
     """
 
     __slots__ = ("n", "x", "_row")
@@ -359,28 +360,11 @@ class LinkGraph:
         self.x = x
         self._row = row
 
-    def contains(self, u: int, v: int) -> bool:
-        self._check_pair(u, v)
-        return self._row[u] >> v & 1 == 1
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         """The pairs u < v, in colex order (by v, then u)."""
         for v, adj in enumerate(self._row):
             for u in _iter_bits(adj & ((1 << v) - 1)):
                 yield u, v
-
-    def adjacency_mask(self, u: int) -> int:
-        self._check_vertex(u)
-        return self._row[u]
-
-    def degree(self, u: int) -> int:
-        """Neighbour count of u; equals the codegree of x and u in the owner."""
-        self._check_vertex(u)
-        return self._row[u].bit_count()
-
-    @property
-    def num_pairs(self) -> int:
-        return sum(adj.bit_count() for adj in self._row) // 2
 
     def first_triangle(self) -> Optional[tuple[int, int, int]]:
         """Lexicographically first (a,b,c) with all three pairs present."""
@@ -392,11 +376,8 @@ class LinkGraph:
                     return a, b, (common & -common).bit_length() - 1
         return None
 
-    # the owner's range checks; they read only self.n, which the link shares
-    _check_vertex, _check_pair = Hypergraph3._check_vertex, Hypergraph3._check_pair
-
     def __repr__(self) -> str:
-        return f"LinkGraph(x={self.x}, pairs={self.num_pairs})"
+        return f"LinkGraph(x={self.x}, pairs={sum(adj.bit_count() for adj in self._row) // 2})"
 
 
 def build(n: int, triples: Iterable[Sequence[int]]) -> Hypergraph3:
@@ -412,19 +393,13 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 # -- whole-group operations (n <= EXACT_MODE_CAP) --------------------------
 
-_RANK_PERMS: dict[int, np.ndarray] = {}
-
-
+@cache
 def _rank_perm_tables(n: int) -> np.ndarray:
     # row p maps each triple rank to its rank under the p-th vertex permutation
-    tables = _RANK_PERMS.get(n)
-    if tables is None:
-        images = np.array(list(permutations(range(n))), dtype=np.int16)[:, triple_table(n)]
-        images.sort(axis=2)
-        c2, c3 = (c.astype(np.uint8) for c in _binomials(n))
-        tables = c3[images[..., 2]] + c2[images[..., 1]] + images[..., 0].astype(np.uint8)
-        _RANK_PERMS[n] = tables
-    return tables
+    images = np.array(list(permutations(range(n))), dtype=np.int16)[:, triple_table(n)]
+    images.sort(axis=2)
+    c2, c3 = (c.astype(np.uint8) for c in _binomials(n))
+    return c3[images[..., 2]] + c2[images[..., 1]] + images[..., 0].astype(np.uint8)
 
 
 def _relabeled_bitmaps(g: Hypergraph3, caller: str) -> np.ndarray:

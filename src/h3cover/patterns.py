@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
@@ -140,25 +140,23 @@ def _catalog_graph(name: str, t: Optional[int]) -> tuple[str, Hypergraph3]:
     raise ValueError(f"unknown pattern {name!r}")
 
 
-_PATTERN_CACHE: dict[str, Pattern] = {}
-
-
 def pattern(name: str, t: Optional[int] = None) -> Pattern:
     """Catalog lookup: K<t>, K<t>-, C<t> (tight), Fano, F32, STS:<t>.
 
     Accepts either a fully spelled name (``pattern("K4-")``) or a family name
     plus size (``pattern("K-", 4)``).
     """
-    canonical, graph = _catalog_graph(name, t)
-    if canonical not in _PATTERN_CACHE:
-        _PATTERN_CACHE[canonical] = pattern_from_graph(canonical, graph)
-    return _PATTERN_CACHE[canonical]
+    return _catalog_pattern(*_catalog_graph(name, t))
 
 
 def pattern_from_graph(name: str, graph: Hypergraph3) -> Pattern:
     """Wrap an arbitrary small graph (e.g. one loaded from a .h3 file)."""
     r, ordering = degeneracy(graph)
     return Pattern(name, graph, graph.n, r, ordering, _orbit_representatives(graph))
+
+
+# one Pattern per canonical catalog name, whose graph the name fixes
+_catalog_pattern = cache(pattern_from_graph)
 
 
 def _orbit_representatives(graph: Hypergraph3) -> tuple[int, ...]:
@@ -309,7 +307,7 @@ def edge_extendable(host: Hypergraph3, e: Sequence[int], pat: Pattern) -> bool:
 
 
 # unbounded, like the pattern catalog: one small entry per pattern graph and anchor tuple searched
-@lru_cache(maxsize=None)
+@cache
 def _plan(graph: Hypergraph3, anchors: tuple[int, ...]):
     """Static vertex order of the pattern graph from the anchors, most-constrained first.
 
