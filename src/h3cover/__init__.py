@@ -5,8 +5,6 @@ from .core import (
     Hypergraph3,
     LinkGraph,
     build,
-    canonical_key,
-    edit_distance,
     dumps_h3,
     loads_h3,
     write_h3,
@@ -25,7 +23,6 @@ from .patterns import (
     embed_covering,
     greedy_embed,
     uncovered_vertices,
-    edge_extendable,
 )
 from .constructions import (
     AdmissiblePairSet,

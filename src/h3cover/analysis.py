@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EXACT_MODE_CAP, Hypergraph3, _iter_bits, pair_rank, triple_table
+from .core import Hypergraph3, _iter_bits, pair_rank, triple_table
 from .constructions import ConstructionClaims, Tripartition
 from .patterns import Pattern, greedy_cover_bound, uncovered_vertices
 
@@ -51,6 +51,7 @@ __all__ = [
     "recover_partition",
     "verify_construction",
     "DEFAULT_SLACK",
+    "EXACT_MODE_CAP",
 ]
 
 
@@ -178,6 +179,9 @@ def classify_sy(g: Hypergraph3, quad: tuple[int, int, int, int], y: int) -> SyCl
 
 # -- exact exhaustive search --------------------------------------------------
 
+# Largest vertex count for which the exact threshold search (c2_exact) runs
+EXACT_MODE_CAP = 8
+
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -194,11 +198,12 @@ class SearchReport:
     note: Optional[str] = None
 
 
-def _copies(pat: Pattern, n: int) -> list[tuple[int, int]]:
+def _copies(pat: Pattern, n: int, deadline: Optional[float] = None) -> list[tuple[int, int]]:
     """(edge bitmap, vertex bitmap) of every copy of the pattern in K_n: each
     distinct labelling of the pattern on its own f vertices, placed in order
     onto each f-subset of [n].  No pair repeats, though a pattern with an
-    isolated vertex has copies with equal edges on different vertex sets."""
+    isolated vertex has copies with equal edges on different vertex sets.
+    TimeoutError once the clock, read once per labelling, passes the deadline."""
     # a labelling is its sorted tuple of sorted edges; adjacent transpositions
     # generate every permutation, so closing the pattern under them finds all.
     # Swapping i and i + 1 keeps an edge sorted unless it holds both, and then
@@ -207,6 +212,8 @@ def _copies(pat: Pattern, n: int) -> list[tuple[int, int]]:
     swaps = [[*range(i), i + 1, i, *range(i + 2, pat.f)] for i in range(pat.f - 1)]
     labellings, todo = {seed}, [seed]
     while todo:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError
         lab = todo.pop()
         for i, p in enumerate(swaps):
             image = tuple(sorted(e if i in e and i + 1 in e else (p[e[0]], p[e[1]], p[e[2]]) for e in lab))
@@ -241,15 +248,6 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
 
     t0 = time.monotonic()
     deadline = t0 + budget_seconds if budget_seconds is not None else None
-    copy_edges, copy_verts = zip(*_copies(pat, n))
-    # missing[i]: edges of copy i not yet decided present; users[r]: the copies through triple r
-    missing = [pat.graph.num_edges] * len(copy_edges)
-    triples = triple_table(n).tolist()
-    users: list[list[int]] = [[] for _ in triples]
-    for i, e in enumerate(copy_edges):
-        for r in _iter_bits(e):
-            users[r].append(i)
-    pair_ids = [tuple(pair_rank(u, v) for u, v in combinations(t, 2)) for t in triples]
     full, nodes = (1 << n) - 1, 0
 
     def feasible(rank: int, bits: int, covered: int) -> Optional[int]:
@@ -258,7 +256,7 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
         # numeric order; coverage only grows with edges, so every leaf is a witness
         nonlocal nodes
         nodes += 1
-        # the clock is read at the first node, so a zero budget always truncates, then every 1024
+        # the clock is read at the first node, then every 1024
         if deadline is not None and nodes % 1024 == 1 and time.monotonic() > deadline:
             raise TimeoutError
         if rank < 0:
@@ -281,19 +279,28 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
         return found
 
     value = bits = note = None
-    for target in range(n - 2, -1, -1):
-        # slack[p]: how many more triples of pair p may be absent with the target still reachable
-        slack = [n - 2 - target] * comb(n, 2)
-        try:
+    target = n - 2  # building the copies counts against the first target's budget
+    try:
+        copy_edges, copy_verts = zip(*_copies(pat, n, deadline))
+        # missing[i]: edges of copy i not yet decided present; users[r]: the copies through triple r
+        missing = [pat.graph.num_edges] * len(copy_edges)
+        triples = triple_table(n).tolist()
+        users: list[list[int]] = [[] for _ in triples]
+        for i, e in enumerate(copy_edges):
+            for r in _iter_bits(e):
+                users[r].append(i)
+        pair_ids = [tuple(pair_rank(u, v) for u, v in combinations(t, 2)) for t in triples]
+        for target in range(n - 2, -1, -1):
+            # slack[p]: how many more triples of pair p may be absent with the target still reachable
+            slack = [n - 2 - target] * comb(n, 2)
             bits = feasible(len(pair_ids) - 1, 0, 0)
-        except TimeoutError:
-            note = f"budget exhausted while testing target {target}; value <= {target}"
-            break
-        if bits is not None:
-            value = target
-            break
-    else:
-        raise RuntimeError("descent fell through; the empty host is always feasible")
+            if bits is not None:
+                value = target
+                break
+        else:
+            raise RuntimeError("descent fell through; the empty host is always feasible")
+    except TimeoutError:
+        note = f"budget exhausted while testing target {target}; value <= {target}"
     wall_ms = (time.monotonic() - t0) * 1000.0
 
     witness = uncovered_vertex = None

@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import io
 import re
-from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -54,8 +53,6 @@ __all__ = [
     "Hypergraph3",
     "LinkGraph",
     "build",
-    "canonical_key",
-    "edit_distance",
     "triple_rank",
     "triple_unrank",
     "pair_rank",
@@ -64,13 +61,7 @@ __all__ = [
     "loads_h3",
     "write_h3",
     "load_h3",
-    "EXACT_MODE_CAP",
 ]
-
-# Largest vertex count for which whole-group operations (canonical keys,
-# exact edit distance) enumerate all n! relabelings, and for which the exact
-# threshold search (analysis.c2_exact) runs.
-EXACT_MODE_CAP = 8
 
 # edges() turns this many rows of the edge array into tuples at a time, dumps_h3 into text
 _CHUNK = 4096
@@ -389,44 +380,6 @@ def _iter_bits(mask: int) -> Iterator[int]:
     while mask:
         yield (mask & -mask).bit_length() - 1
         mask &= mask - 1
-
-
-# -- whole-group operations (n <= EXACT_MODE_CAP) --------------------------
-
-@cache
-def _rank_perm_tables(n: int) -> np.ndarray:
-    # row p maps each triple rank to its rank under the p-th vertex permutation
-    images = np.array(list(permutations(range(n))), dtype=np.int16)[:, triple_table(n)]
-    images.sort(axis=2)
-    c2, c3 = (c.astype(np.uint8) for c in _binomials(n))
-    return c3[images[..., 2]] + c2[images[..., 1]] + images[..., 0].astype(np.uint8)
-
-
-def _relabeled_bitmaps(g: Hypergraph3, caller: str) -> np.ndarray:
-    """The uint64 edge bitmap of g under each of the n! vertex permutations."""
-    if g.n > EXACT_MODE_CAP:
-        raise ValueError(f"{caller} supports n <= {EXACT_MODE_CAP}")
-    ranks = _rank_perm_tables(g.n)[:, _set_bits(g._bitmap_bytes())].astype(np.uint64)
-    return (np.uint64(1) << ranks).sum(axis=1, dtype=np.uint64)
-
-
-def canonical_key(g: Hypergraph3) -> bytes:
-    """Byte string identifying the isomorphism class of g (n <= 8).
-
-    The key is the minimum edge bitmap over all n! vertex relabelings,
-    serialized big-endian behind the vertex count.
-    """
-    best = int(_relabeled_bitmaps(g, "canonical_key").min())
-    width = (comb(g.n, 3) + 7) // 8
-    return bytes([g.n]) + best.to_bytes(width, "big")
-
-
-def edit_distance(g: Hypergraph3, h: Hypergraph3) -> int:
-    """Minimum number of edge toggles making g isomorphic to h (exact, n <= 8)."""
-    if g.n != h.n:
-        raise ValueError("edit distance needs equal vertex counts")
-    relabeled = _relabeled_bitmaps(h, "edit_distance")
-    return int(np.bitwise_count(np.uint64(g.bits) ^ relabeled).min())
 
 
 # -- serialization ----------------------------------------------------------

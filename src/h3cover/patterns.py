@@ -15,20 +15,19 @@ pair that forms an edge with it.  The order of the positions, their constraint
 pairs and their twin bounds form a plan, built once per pattern graph and
 anchor tuple by one cached builder.
 
-The exhaustive searches share one driver, ``_search``: it puts given host
-vertices on each of a sequence of anchor tuples of the pattern in turn,
+The exhaustive searches share one driver, ``_search``: it puts one host
+vertex on each of a sequence of anchor vertices of the pattern in turn,
 backtracks over the other positions, and returns the first embedding found,
 or None.  ``embed_covering`` anchors x only at the least vertex of each orbit
-of Aut(F), because an anchor fails iff its whole orbit does, and
-``edge_extendable`` anchors the edge at every ordered triple led by such a
-vertex; ``_orbit_representatives`` finds the orbits with the same driver,
-searching the pattern in itself.  The driver skips the work that two
-symmetries make redundant and returns what a search without them would, the
-least image sequence in plan order:
+of Aut(F), because an anchor fails iff its whole orbit does;
+``_orbit_representatives`` finds the orbits with the same driver, searching
+the pattern in itself.  The driver skips the work that two symmetries make
+redundant and returns what a search without them would, the least image
+sequence in plan order:
 
 * pattern twins (u, v with the swap (u v) an automorphism) placed after the
-  anchors take increasing images, as they do in the least sequence;
-* with the anchors placed, swapping two free twins of the host moves no
+  anchor take increasing images, as they do in the least sequence;
+* with the anchor placed, swapping two free twins of the host moves no
   placed image, so each position tries only the least free vertex of each
   of the host's twin classes (``Hypergraph3.twin_classes``), which the least
   sequence takes anyway.
@@ -44,8 +43,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Optional
 
 from .core import Hypergraph3, _iter_bits
 
@@ -59,7 +58,6 @@ __all__ = [
     "embed_covering",
     "greedy_embed",
     "uncovered_vertices",
-    "edge_extendable",
 ]
 
 # Fixed catalog names accepted on the CLI; STS:t is parameterized on top.
@@ -169,7 +167,7 @@ def _orbit_representatives(graph: Hypergraph3) -> tuple[int, ...]:
     """
     reps: list[int] = []
     for a in range(graph.n):
-        if _search(graph, graph, (a,), [(r,) for r in reps]) is None:
+        if _search(graph, graph, a, reps) is None:
             reps.append(a)
     return tuple(reps)
 
@@ -204,29 +202,29 @@ def _candidates(rows, step, images: list[int], free: int) -> int:
 
 
 def _search(
-    host: Hypergraph3, graph: Hypergraph3, placed: tuple[int, ...], anchor_tuples: Iterable[tuple[int, ...]]
+    host: Hypergraph3, graph: Hypergraph3, x: int, anchors: Iterable[int]
 ) -> Optional[dict[int, int]]:
-    """Put the host vertices ``placed`` on each anchor tuple of the pattern graph in turn
-    and return the least embedding, in plan order, of the first that extends, or None.
+    """Put host vertex x on each anchor vertex of the pattern graph in turn and return
+    the least embedding, in plan order, of the first that extends, or None.
     The one setup and entry point of every exhaustive search."""
     if host.n < graph.n:
         return None
     rows, twins = host.pair_masks(), host.twin_classes()
-    free = ((1 << host.n) - 1) & ~sum(1 << v for v in placed)
+    free = ((1 << host.n) - 1) & ~(1 << x)
     later = 0  # the free vertices with a free twin below
     for c in set(twins.values()):
         c &= free
         later |= c & (c - 1)
-    for anchors in anchor_tuples:
-        plan = _plan(graph, anchors)
-        images = list(placed) + [-1] * (graph.n - len(placed))
-        if _backtrack(rows, plan, images, free, len(placed), twins, later):
+    for a in anchors:
+        plan = _plan(graph, (a,))
+        images = [x] + [-1] * (graph.n - 1)
+        if _backtrack(rows, plan, images, free, 1, twins, later):
             return {plan[i][0]: images[i] for i in range(graph.n)}
     return None
 
 
 def _backtrack(rows, plan, images: list[int], free: int, pos: int, twins, later: int) -> bool:
-    # the anchors are placed, so swapping two free host twins moves no placed image: of each
+    # the anchor is placed, so swapping two free host twins moves no placed image: of each
     # class only the least free twin is tried; v is one, and the next free twin takes its place
     if pos == len(plan):
         return True
@@ -249,7 +247,7 @@ def embed_covering(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int
     """
     if not 0 <= x < host.n:
         raise ValueError(f"vertex {x} out of range")
-    return _search(host, pat.graph, (x,), [(a,) for a in pat._orbit_reps])
+    return _search(host, pat.graph, x, pat._orbit_reps)
 
 
 def greedy_embed(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int, int]]:
@@ -294,16 +292,6 @@ def uncovered_vertices(host: Hypergraph3, pat: Pattern) -> tuple[int, ...]:
             for v in emb.values():
                 covered |= twins.get(v, 1 << v)
     return tuple(_iter_bits(missed))
-
-
-def edge_extendable(host: Hypergraph3, e: Sequence[int], pat: Pattern) -> bool:
-    """True iff some pattern embedding's image contains all three vertices of e."""
-    a, b, c = sorted(e)
-    if not host.contains(a, b, c):
-        raise ValueError(f"{(a, b, c)} is not an edge of the host")
-    # abc is a host edge, so a pattern edge among the three anchors always lands on one
-    anchors = (t for t in permutations(range(pat.f), 3) if t[0] in pat._orbit_reps)
-    return _search(host, pat.graph, (a, b, c), anchors) is not None
 
 
 # unbounded, like the pattern catalog: one small entry per pattern graph and anchor tuple searched

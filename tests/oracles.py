@@ -82,16 +82,6 @@ def embeds_through(host, x, pat):
     return False
 
 
-def extends_edge(host, e, pat):
-    """Brute force over all injective maps: does some pattern image contain the edge e?"""
-    pedges = triples_of(pat.graph)
-    hedges = set(triples_of(host))
-    for img in permutations(range(host.n), pat.f):
-        if set(e) <= set(img) and all(tuple(sorted((img[a], img[b], img[c]))) in hedges for a, b, c in pedges):
-            return True
-    return False
-
-
 def uncovered(host, pat):
     return tuple(x for x in range(host.n) if not embeds_through(host, x, pat))
 
@@ -108,18 +98,6 @@ def degeneracy_r(g):
                 for v in e:
                     deg[v] += 1
             best = max(best, min(deg.values()))
-    return best
-
-
-def edit_distance(g, h):
-    """Min over bijections of the symmetric difference of edge sets."""
-    ge = set(triples_of(g))
-    best = None
-    for p in permutations(range(h.n)):
-        he = {tuple(sorted((p[a], p[b], p[c]))) for a, b, c in triples_of(h)}
-        d = len(ge ^ he)
-        if best is None or d < best:
-            best = d
     return best
 
 
@@ -186,15 +164,6 @@ def search_nodes(pat, n, value, witness_bits):
                 if covered != (1 << n) - 1:
                     count += 1
     return count
-
-
-def canonical_bitmap(g):
-    """Least edge bitmap over all vertex relabelings, by explicit permutation."""
-    edges = triples_of(g)
-    return min(
-        sum(1 << triple_rank(p[a], p[b], p[c]) for a, b, c in edges)
-        for p in permutations(range(g.n))
-    )
 
 
 def clique_number(h):

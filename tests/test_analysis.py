@@ -237,7 +237,7 @@ def test_c2_exact_budget_yields_partial():
 
 
 # K5 is left out: its whole search at n = 8 ends within the budget
-@pytest.mark.parametrize("name", ["K4", "K4-", "C5", "C6", "C7", "F32", "Fano", "K5-"])
+@pytest.mark.parametrize("name", ["K4", "K4-", "C5", "C6", "C7", "C8", "F32", "Fano", "K5-"])
 def test_c2_exact_budget_overrun_is_bounded(name):
     # a budget well inside each whole search at n = 8 (K4's takes about 2 s on 2 cores);
     # building the pattern's copies counts against it

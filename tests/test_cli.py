@@ -132,7 +132,7 @@ def test_search_budget_exit_code(capsys):
 
 
 def test_truncated_search_json_is_deterministic(capsys):
-    # a zero budget stops at the first node, 0.05 s after a host-dependent number of them
+    # a zero budget stops before the first node, 0.05 s after a host-dependent number of them
     outputs = []
     for budget in ("0", "0.05"):
         code, stdout, _ = run(capsys, "search", "--pattern", "C5", "--n", "8", "--budget-seconds", budget)

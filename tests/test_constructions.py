@@ -11,7 +11,6 @@ from h3cover import (
     Hypergraph3,
     blow_up,
     build,
-    canonical_key,
     embed_covering,
     f1,
     f1_variant,
@@ -215,7 +214,10 @@ def test_admissible_sample_is_valid_and_deterministic(case, seed):
 
 
 def test_steiner_7_is_the_7_point_plane():
-    assert canonical_key(steiner(7)) == canonical_key(pattern("Fano").graph)
+    # a copy of the plane on all 7 vertices, with as many edges as the host, is the whole host
+    s, fano = steiner(7), pattern("Fano")
+    assert s.num_edges == fano.graph.num_edges == 7
+    assert embed_covering(s, 0, fano) is not None
 
 
 def test_steiner_edge_counts_and_codegrees():
@@ -296,6 +298,50 @@ def test_claims_json_roundtrip():
         _, claims = maker()
         again = ConstructionClaims.from_json(claims.as_json())
         assert again == claims
+
+
+# JSON values over the sidecar's keys: nested objects and lists of ints, bools, floats, strings and null
+_CLAIM_KEYS = ("schema", "construction", "n", "min_codegree", "uncovered", "partition", "parts", "apex",
+               "pattern_hint", "params")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_CLAIM_KEYS) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=12,
+)
+_INTS = st.lists(st.integers(), max_size=4)
+_CLAIMS = st.fixed_dictionaries(
+    {"construction": st.text(max_size=4), "n": st.integers(), "min_codegree": st.integers(), "uncovered": _INTS,
+     "partition": st.fixed_dictionaries({"parts": st.lists(_INTS, max_size=3), "apex": st.none() | st.integers()})},
+    optional={"schema": _JSON, "pattern_hint": st.none() | st.text(max_size=4),
+              "params": st.dictionaries(st.text(max_size=4), st.integers(), max_size=3)},
+)
+
+
+@st.composite
+def _claims_like(draw):
+    """Well-typed claims with one field, maybe inside the partition, kept, dropped or set to any JSON value."""
+    data = draw(_CLAIMS)
+    obj = draw(st.sampled_from([data, data["partition"]]))
+    key = draw(st.sampled_from(sorted(obj)))
+    how = draw(st.sampled_from(("keep", "drop", "replace")))
+    if how == "drop":
+        del obj[key]
+    elif how == "replace":
+        obj[key] = draw(_JSON)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_claims_like() | _JSON)
+def test_claims_from_json_returns_claims_or_raises_value_error(data):
+    from h3cover import ConstructionClaims
+
+    try:
+        claims = ConstructionClaims.from_json(data)
+    except ValueError:
+        return
+    assert ConstructionClaims.from_json(claims.as_json()) == claims
 
 
 # -- every family against its defining rule, checked triple by triple ------------

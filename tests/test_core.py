@@ -3,16 +3,14 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 from h3cover import (
     Hypergraph3,
     admissible_sample,
     build,
-    canonical_key,
     dumps_h3,
-    edit_distance,
     f1,
     f1_variant,
     f3,
@@ -216,67 +214,6 @@ def test_link_rejects_out_of_range_vertex():
         g.codegree(8, 8)
 
 
-# -- edit distance and canonical keys ----------------------------------------
-
-
-def test_edit_distance_identity():
-    g, _ = f1(7)
-    assert edit_distance(g, g) == 0
-
-
-def test_edit_distance_relabeled_single_edge():
-    g = build(4, [(0, 1, 2)])
-    h = build(4, [(0, 1, 3)])
-    assert edit_distance(g, h) == 0
-    assert canonical_key(g) == canonical_key(h)
-
-
-def test_edit_distance_k4_vs_k4_minus():
-    g = k4()
-    h = build(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
-    assert edit_distance(g, h) == 1
-    assert oracles.edit_distance(g, h) == 1
-    assert canonical_key(g) != canonical_key(h)
-
-
-def test_canonical_classes_on_four_vertices():
-    # orbit count by explicit group action, then compare
-    orbits = set()
-    for bits in range(16):
-        g = Hypergraph3(4, bits)
-        orbit = frozenset(
-            canonical_key(Hypergraph3(4, b)) for b in _orbit_bitmaps(bits)
-        )
-        assert len(orbit) == 1
-        orbits.add(next(iter(orbit)))
-    assert len(orbits) == 5
-
-
-def _orbit_bitmaps(bits):
-    out = set()
-    for p in permutations(range(4)):
-        nb = 0
-        for r in range(4):
-            if bits >> r & 1:
-                a, b, c = triple_unrank(r)
-                nb |= 1 << triple_rank(p[a], p[b], p[c])
-        out.add(nb)
-    return out
-
-
-def test_canonical_key_cap():
-    g = Hypergraph3(9, 0)
-    with pytest.raises(ValueError):
-        canonical_key(g)
-    with pytest.raises(ValueError):
-        edit_distance(g, g)
-
-
-def test_edit_distance_requires_equal_n():
-    with pytest.raises(ValueError):
-        edit_distance(Hypergraph3(4, 0), Hypergraph3(5, 0))
-
-
 # -- independence -------------------------------------------------------------
 
 
@@ -437,33 +374,6 @@ def test_complement_involution(g):
     assert g.complement().complement() == g
     for u, v in combinations(range(g.n), 2):
         assert g.complement().codegree(u, v) == (g.n - 2) - g.codegree(u, v)
-
-
-@settings(max_examples=40, deadline=None)
-@given(graphs(max_n=5), st.randoms(use_true_random=False))
-def test_canonical_key_permutation_invariant(g, rnd):
-    perm = list(range(g.n))
-    rnd.shuffle(perm)
-    relabeled = Hypergraph3.from_triples(
-        g.n, [(perm[a], perm[b], perm[c]) for a, b, c in g.edges()]
-    )
-    assert canonical_key(relabeled) == canonical_key(g)
-    assert edit_distance(g, relabeled) == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(graphs(max_n=6))
-def test_canonical_key_is_least_relabeled_bitmap(g):
-    width = (comb(g.n, 3) + 7) // 8
-    assert canonical_key(g) == bytes([g.n]) + oracles.canonical_bitmap(g).to_bytes(width, "big")
-
-
-@settings(max_examples=30, deadline=None)
-@given(graphs(max_n=5), graphs(max_n=5))
-def test_edit_zero_iff_keys_equal(g, h):
-    if g.n != h.n:
-        return
-    assert (edit_distance(g, h) == 0) == (canonical_key(g) == canonical_key(h))
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,6 @@ from h3cover import (
     Hypergraph3,
     build,
     degeneracy,
-    edge_extendable,
     embed_covering,
     f1,
     f2,
@@ -237,8 +236,6 @@ def test_host_twins_change_no_answer(host):
         for x in range(host.n):
             found = embed_covering(host, x, pat) is not None
             assert found == oracles.embeds_through(host, x, pat), (name, x)
-        for e in host.edges():
-            assert edge_extendable(host, e, pat) == oracles.extends_edge(host, e, pat), (name, e)
 
 
 @pytest.mark.parametrize(
@@ -443,63 +440,3 @@ def test_uncovered_f4_is_first_half():
 def test_uncovered_f1_is_apex():
     g, claims = f1(12)
     assert uncovered_vertices(g, pattern("K4")) == (claims.partition.apex,)
-
-
-def test_edge_extendable_k5():
-    host = complete(5)
-    for e in host.edges():
-        assert edge_extendable(host, e, pattern("K4"))
-
-
-def test_edge_extendable_k4_minus_host():
-    host = build(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
-    for e in host.edges():
-        assert not edge_extendable(host, e, pattern("K4"))
-
-
-def test_edge_extendable_above_bound():
-    # complete host with codegree above the pigeonhole threshold for K4-
-    host = complete(7)
-    assert host.min_codegree() > 7 // 3
-    for e in host.edges():
-        assert edge_extendable(host, e, pattern("K4-"))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=4, max_value=6).flatmap(
-        lambda n: st.integers(min_value=0, max_value=(1 << comb(n, 3)) - 1).map(lambda b: Hypergraph3(n, b))
-    ),
-    st.sampled_from(["K4", "K4-", "C5", "F32"]),
-)
-def test_edge_extendable_matches_brute_force(host, name):
-    pat = pattern(name)
-    for e in host.edges():
-        assert edge_extendable(host, e, pat) == oracles.extends_edge(host, e, pat)
-
-
-@pytest.mark.parametrize(
-    "family, name, edge, unreduced_calls",
-    # entries into _backtrack, recursion included, for one edge in no copy when every
-    # ordered anchor triple is tried: f4(24)/C5 470; f32tri(24)/F32 372
-    [(f4, "C5", (0, 1, 12), 470 // 4), (f32_tripartite, "F32", (0, 1, 8), 372 // 2)],
-)
-def test_edge_extendable_work_guard(monkeypatch, family, name, edge, unreduced_calls):
-    host, _ = family(24)
-    pat = pattern(name)
-    calls = 0
-    backtrack = patterns._backtrack
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return backtrack(*args)
-
-    monkeypatch.setattr(patterns, "_backtrack", counting)
-    assert not edge_extendable(host, edge, pat)
-    assert calls <= unreduced_calls
-
-
-def test_edge_extendable_rejects_non_edge():
-    with pytest.raises(ValueError):
-        edge_extendable(build(4, [(0, 1, 2)]), (0, 1, 3), pattern("K4"))
