@@ -5,6 +5,8 @@ Exit codes are a stable contract: 0 ok, 1 I/O failure, 2 usage error (also
 an input too large for memory), 3 claim failure, 4 budget exhaustion.  JSON output is byte-identical for
 identical invocations (seeds default to 0, never to entropy; wall-clock
 timings appear only in table mode).
+
+Only the invoked command's parser is built; help and usage errors come from the full tree.
 """
 
 from __future__ import annotations
@@ -198,58 +200,66 @@ def cmd_recover(args) -> int:
     return 0
 
 
+# name -> (help, handler, the (flags, keywords) of each option after --format)
+_COMMANDS = {
+    "construct": ("generate a construction plus its claims sidecar", cmd_construct, (
+        (("name",), dict(choices=CONSTRUCTIONS)),
+        (("--n",), dict(type=int, default=None)),
+        (("--t",), dict(type=int, default=None, help="vertex count for sts")),
+        (("--seed",), dict(type=int, default=0)),
+        (("--case",), dict(choices=("0", "1", "2", "2p"), default=None)),
+        (("--base",), dict(default=None, help=".h3 file with the base graph for blowup")),
+        (("--factor",), dict(type=int, default=2, help="part size for blowup")),
+        (("-o", "--output"), dict(default=None)),
+        (("--fmt",), dict(choices=("text", "hex"), default="text")))),
+    "verify": ("re-measure a claims sidecar against its graph", cmd_verify, (
+        (("--in",), dict(dest="input", required=True)),
+        (("--claims",), dict(default=None)),
+        (("--pattern",), dict(required=True)))),
+    "cover": ("list the vertices no pattern copy passes through", cmd_cover, (
+        (("--in",), dict(dest="input", required=True)),
+        (("--pattern",), dict(required=True)))),
+    "search": ("exact threshold by exhaustion at tiny n", cmd_search, (
+        (("--pattern",), dict(required=True)),
+        (("--n",), dict(type=int, required=True)),
+        (("--budget-seconds",), dict(type=float, default=None)))),
+    "bounds": ("closed-form bracket table over a range of n", cmd_bounds, (
+        (("--pattern",), dict(required=True)),
+        (("--n",), dict(required=True, help="single value or range like 7..18")))),
+    "recover": ("recover an apex tripartition and measure violations", cmd_recover, (
+        (("--in",), dict(dest="input", required=True)),
+        (("--apex",), dict(type=int, required=True)),
+        (("--delta",), dict(default="1/429")))),
+}
+
+
+def _command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """p with --format, command name's options, and its command and func defaults."""
+    _, func, options = _COMMANDS[name]
+    p.add_argument("--format", choices=("json", "table"), default="json")
+    for flags, kw in options:
+        p.add_argument(*flags, **kw)
+    p.set_defaults(command=name, func=func)
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="h3cover", description=__doc__)
+    # the docstring's last paragraph is about this parser, not for --help
+    top = argparse.ArgumentParser(prog="h3cover", description=__doc__.rpartition("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--format", choices=("json", "table"), default="json")
-
-    p = sub.add_parser("construct", parents=[out], help="generate a construction plus its claims sidecar")
-    p.add_argument("name", choices=CONSTRUCTIONS)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--t", type=int, default=None, help="vertex count for sts")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--case", choices=("0", "1", "2", "2p"), default=None)
-    p.add_argument("--base", default=None, help=".h3 file with the base graph for blowup")
-    p.add_argument("--factor", type=int, default=2, help="part size for blowup")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--fmt", choices=("text", "hex"), default="text")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("verify", parents=[out], help="re-measure a claims sidecar against its graph")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--claims", default=None)
-    p.add_argument("--pattern", required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("cover", parents=[out], help="list the vertices no pattern copy passes through")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--pattern", required=True)
-    p.set_defaults(func=cmd_cover)
-
-    p = sub.add_parser("search", parents=[out], help="exact threshold by exhaustion at tiny n")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget-seconds", type=float, default=None)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("bounds", parents=[out], help="closed-form bracket table over a range of n")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--n", required=True, help="single value or range like 7..18")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("recover", parents=[out], help="recover an apex tripartition and measure violations")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--apex", type=int, required=True)
-    p.add_argument("--delta", default="1/429")
-    p.set_defaults(func=cmd_recover)
-
+    for name, (help_, _, _) in _COMMANDS.items():
+        _command(sub.add_parser(name, help=help_), name)
     return top
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        args, extra = _command(argparse.ArgumentParser(prog=f"h3cover {name}"), name).parse_known_args(argv[1:])
+    if name not in _COMMANDS or extra:
+        # no command, -h, an unknown command or unrecognized arguments: the full tree's help and errors
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

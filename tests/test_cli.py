@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -9,6 +10,7 @@ import pytest
 
 import h3cover
 from h3cover import Hypergraph3, load_h3, loads_h3, dumps_h3, pattern, write_h3
+from h3cover import cli
 from h3cover.cli import CONSTRUCTIONS, main
 
 import oracles
@@ -339,3 +341,71 @@ def test_verify_out_of_range_apex_fails_the_partition_check(tmp_path, capsys):
     assert code == 3
     checks = {c["name"]: c for c in json.loads(stdout)["checks"]}
     assert checks["partition"]["measured"] == "invalid"
+
+
+# the invocation classes whose help, usage error or result the full parser tree decides
+USAGE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["nope"],
+    ["Search", "--pattern", "K4", "--n", "4"],
+    ["search"],
+    ["search", "--pattern", "K4"],
+    ["search", "--pattern", "K4", "--n", "x"],
+    ["search", "--pattern", "K4", "--n", "4", "--bogus"],
+    ["search", "--bogus", "-h"],
+    ["search", "--n", "x", "--bogus"],
+    ["search", "--pattern", "K4", "--n", "4", "extra"],
+    ["search", "--pat", "K4", "--n", "4"],
+    ["search", "--pattern", "K4", "--n", "4", "--"],
+    ["search", "--", "--pattern", "K4", "--n", "4"],
+    ["search", "--pattern", "K4", "--n", "4", "--format", "xml"],
+    ["--format", "json", "search", "--pattern", "K4", "--n", "4"],
+    ["construct", "zz"],
+    ["construct", "f1", "f2", "--n", "5"],
+    ["bounds", "--pattern", "K4", "--n", "7..9", "x", "y"],
+    ["recover", "--in", "x.h3", "--apex", "q"],
+] + [[name, "-h"] for name in ("construct", "verify", "cover", "search", "bounds", "recover")]
+
+
+def _outcome(capsys, call):
+    """(return value or SystemExit code, stdout, stderr) of call()."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _full_tree(argv):
+    args = cli._build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_usage_output_matches_full_parser(capsys, argv):
+    got = _outcome(capsys, lambda: main(list(argv)))
+    assert got == _outcome(capsys, lambda: _full_tree(list(argv)))
+
+
+@pytest.mark.parametrize("argv", [["search", "--pattern", "K4", "--n", "x"], ["search", "--pattern", "K4", "--n", "4"]])
+def test_main_reads_sys_argv(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["h3cover", *argv])
+    assert _outcome(capsys, main) == _outcome(capsys, lambda: _full_tree(argv))
+
+
+def test_one_command_builds_only_its_own_options(capsys, monkeypatch):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    code, _, _ = run(capsys, "search", "--pattern", "K4", "--n", "4")
+    assert code == 0
+    # -h, --format, --pattern, --n and --budget-seconds; the whole tree adds 30
+    assert len(calls) <= 5, calls
