@@ -23,11 +23,10 @@ of the six pair-table entries or their complements.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -58,20 +57,26 @@ __all__ = [
 # -- closed-form bound tables ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundBracket:
-    """Lower/upper bounds on the covering codegree threshold at one n."""
-
+class _BoundBracket(NamedTuple):
     lower: int
     upper: int
     exact: Optional[int] = None
     provenance: Optional[str] = None  # "theorem" or "exhaustive"
 
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"bracket inverted: [{self.lower}, {self.upper}]")
-        if self.exact is not None and not self.lower <= self.exact <= self.upper:
-            raise ValueError(f"exact value {self.exact} outside [{self.lower}, {self.upper}]")
+
+class BoundBracket(_BoundBracket):
+    """Lower/upper bounds on the covering codegree threshold at one n."""
+
+    __slots__ = ()
+
+    def __new__(cls, lower: int, upper: int, exact: Optional[int] = None, provenance: Optional[str] = None):
+        if lower > upper:
+            raise ValueError(f"bracket inverted: [{lower}, {upper}]")
+        if exact is not None and not lower <= exact <= upper:
+            raise ValueError(f"exact value {exact} outside [{lower}, {upper}]")
+        return super().__new__(cls, lower, upper, exact, provenance)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs __new__
 
 
 def c2_bounds(pat: Pattern, n: int) -> BoundBracket:
@@ -136,8 +141,7 @@ SY_SETS = {
 }
 
 
-@dataclass(frozen=True)
-class SyClass:
+class SyClass(NamedTuple):
     """Classification of one outside vertex against an anchored 4-set."""
 
     label: str
@@ -183,8 +187,7 @@ def classify_sy(g: Hypergraph3, quad: tuple[int, int, int, int], y: int) -> SyCl
 EXACT_MODE_CAP = 8
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Result of an exhaustive (or budget-truncated) threshold search."""
 
     pattern: str
@@ -328,8 +331,7 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
 DEFAULT_SLACK = Fraction(1, 429)
 
 
-@dataclass(frozen=True)
-class PartitionDiagnostics:
+class PartitionDiagnostics(NamedTuple):
     """Measured violation counts against the stability conditions."""
 
     within_part_link: int        # (i)  apex triples inside one part
@@ -340,8 +342,7 @@ class PartitionDiagnostics:
     max_size_deviation: Fraction  # (v) max | |V_i| - (n-1)/3 |
 
 
-@dataclass(frozen=True)
-class RecoveredPartition:
+class RecoveredPartition(NamedTuple):
     partition: Tripartition
     seed_triangle: tuple[int, int, int]
     bucket_sizes: tuple[int, int, int]
@@ -442,16 +443,14 @@ def _measure_partition(g: Hypergraph3, x: int, parts) -> PartitionDiagnostics:
 # -- claims verification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     expected: object
     measured: object
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
     ok: bool
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -157,7 +156,7 @@ def cmd_bounds(args) -> int:
     lo, hi = int(lo_s), int(hi_s if sep else lo_s)
     if lo > hi:
         raise ValueError(f"empty range {args.n!r}: the first n exceeds the last")
-    rows = [{"n": n, **asdict(c2_bounds(pat, n))} for n in range(lo, hi + 1)]
+    rows = [{"n": n, **c2_bounds(pat, n)._asdict()} for n in range(lo, hi + 1)]
     lines = [f"{'n':>4} {'lower':>6} {'upper':>6} {'exact':>6}"]
     for r in rows:
         lines.append(f"{r['n']:>4} {r['lower']:>6} {r['upper']:>6} {str(r['exact']):>6}")

@@ -18,10 +18,9 @@ in tests and serializations are stable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tripartition:
+class Tripartition(NamedTuple):
     """A labeled split of the vertex set: optional apex plus disjoint parts."""
 
     apex: Optional[int]
@@ -77,19 +75,22 @@ VARIANT_CASES = {
 _CASE_RESIDUE = {"0": 0, "1": 1, "2": 2, "2p": 2}
 
 
-@dataclass(frozen=True)
-class AdmissiblePairSet:
-    """Cross-part pairs with per-vertex multiplicity caps given by the case."""
-
+class _AdmissiblePairSet(NamedTuple):
     case: str
     pairs: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        if self.case not in VARIANT_CASES:
-            raise ValueError(f"unknown case {self.case!r}; expected one of {sorted(VARIANT_CASES)}")
-        object.__setattr__(
-            self, "pairs", frozenset(tuple(sorted(p)) for p in self.pairs)
-        )
+
+class AdmissiblePairSet(_AdmissiblePairSet):
+    """Cross-part pairs with per-vertex multiplicity caps given by the case."""
+
+    __slots__ = ()
+
+    def __new__(cls, case: str, pairs: Iterable[tuple[int, int]]):
+        if case not in VARIANT_CASES:
+            raise ValueError(f"unknown case {case!r}; expected one of {sorted(VARIANT_CASES)}")
+        return super().__new__(cls, case, frozenset(tuple(sorted(p)) for p in pairs))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs __new__
 
     def validate(self, partition: Tripartition) -> None:
         """Raise ValueError unless every pair is cross-part and under the caps."""
@@ -109,8 +110,7 @@ class AdmissiblePairSet:
                 )
 
 
-@dataclass(frozen=True)
-class ConstructionClaims:
+class ConstructionClaims(NamedTuple):
     """What a generator promises; verified by the analysis module, never assumed."""
 
     name: str
@@ -244,7 +244,7 @@ def f1(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
         raise ValueError("f1 needs n >= 4")
     case = str(n % 3)
     g, claims = f1_variant(case, AdmissiblePairSet(case, frozenset()), n)
-    return g, replace(claims, name="f1", params=())
+    return g, claims._replace(name="f1", params=())
 
 
 def _variant_partition(case: str, n: int) -> Tripartition:
@@ -327,7 +327,7 @@ def f2(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
     claimed = (2 * m - 1) if r == 0 else (2 * m + 1) if r == 5 else 2 * m
     g, claims = _build("f2", n, _ascending_sizes(n - 1, 6)[::-1], True, allowed, claimed, (n - 1,), "K4-")
     # below n = 12 the residue table does not hold: claim the measured value
-    return g, claims if n >= 12 else replace(claims, min_codegree=g.min_codegree())
+    return g, claims if n >= 12 else claims._replace(min_codegree=g.min_codegree())
 
 
 def f3(n: int) -> tuple[Hypergraph3, ConstructionClaims]:

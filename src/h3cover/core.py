@@ -415,14 +415,14 @@ def loads_h3(text: str) -> Hypergraph3:
     n, m = int(parts[0]), int(parts[1])
     # digits and ASCII whitespace only: loadtxt alone would accept signs, and some numpy
     # versions cast 1.9 or 1e0 to int
-    raw = body.encode()
-    if bad := raw.translate(None, b"0123456789 \t\n\r\v\f\x1c\x1d\x1e\x1f"):
+    if bad := body.encode().translate(None, b"0123456789 \t\n\r\v\f\x1c\x1d\x1e\x1f"):
         raise ValueError(f"edge lines hold only unsigned decimal vertices, found {bad.decode()[0]!r}")
-    # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body
+    # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body;
+    # it parses a str faster than the same text as bytes
     t = np.zeros((0, 3), np.int16)
     if body.strip():  # int16, as the edge array: a larger vertex raises
-        t = np.loadtxt(io.BytesIO(raw), dtype=np.int16, ndmin=2)
-    del body, raw  # the text copies are dead before the ranks and the bitmap are built
+        t = np.loadtxt(io.StringIO(body), dtype=np.int16, ndmin=2)
+    del body  # the text is dead before the ranks and the bitmap are built
     if t.shape != (m, 3):
         raise ValueError(f"header promises {m} edges, found {t.shape[0]} lines of {t.shape[1]} vertices")
     ranks = _rank_rows(n, t)

@@ -41,10 +41,9 @@ no twin bound applies to it and its lowest-index pick is unchanged.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import Hypergraph3, _iter_bits
 
@@ -67,8 +66,7 @@ _FANO_LINES = tuple(tuple(sorted(((i) % 7, (i + 1) % 7, (i + 3) % 7))) for i in 
 _F32_EDGES = ((0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4))
 
 
-@dataclass(frozen=True, eq=False)
-class Pattern:
+class Pattern(NamedTuple):
     """A named small 3-graph with degeneracy r and elimination ordering."""
 
     name: str
@@ -76,7 +74,7 @@ class Pattern:
     f: int
     r: int
     ordering: tuple[int, ...]
-    _orbit_reps: tuple[int, ...]
+    orbit_reps: tuple[int, ...]
 
     def __repr__(self) -> str:
         return f"Pattern({self.name}, f={self.f}, r={self.r})"
@@ -247,7 +245,7 @@ def embed_covering(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int
     """
     if not 0 <= x < host.n:
         raise ValueError(f"vertex {x} out of range")
-    return _search(host, pat.graph, x, pat._orbit_reps)
+    return _search(host, pat.graph, x, pat.orbit_reps)
 
 
 def greedy_embed(host: Hypergraph3, x: int, pat: Pattern) -> Optional[dict[int, int]]:

@@ -134,7 +134,7 @@ def assert_twin_classes(g):
 
 
 def assert_symmetry_data(pat):
-    assert pat._orbit_reps == tuple(orbit[0] for orbit in oracles.automorphism_orbits(pat.graph))
+    assert pat.orbit_reps == tuple(orbit[0] for orbit in oracles.automorphism_orbits(pat.graph))
     assert_twin_classes(pat.graph)
 
 
