@@ -10,12 +10,13 @@ C(n,3)-1.  That integer is the canonical, hashable value; graphs are
 immutable and safe to share across threads.  One decode path serves every
 view: a graph turns its set bits (the edge ranks) into an int16 array of
 triples once, lazily, by binary search in the binomial columns C(v,2), C(v,3)
-(``edge_array``).  ``loads_h3`` skips it: the rows that one ``np.loadtxt``
-call parses, ranked and put in rank order, are the array.  Degrees and
-``dumps_h3`` are numpy passes over it; the writer gathers each block of rows'
-text cells from a per-vertex table of NUL-padded byte strings in one index
-and drops the block's padding.  ``contains`` reads one bit; ``from_triples``
-ranks whole vertex arrays at once.
+(``edge_array``).  Reading skips it: the rows of one ``np.loadtxt`` call,
+ranked and put in rank order, are the array; numpy parses the file that
+``load_h3`` names in chunks, and the text given to ``loads_h3`` line by line.
+Degrees and ``dumps_h3`` are numpy passes over it; the writer gathers each
+block of rows' text cells from a per-vertex table of NUL-padded byte strings
+in one index and drops the block's padding.  ``contains`` reads one bit;
+``from_triples`` ranks whole vertex arrays at once.
 
 Every pair query reads one table, built lazily from the same array
 (``pair_masks``): the edges flag a bool matrix of pairs by vertices, and
@@ -42,6 +43,7 @@ Both forms round-trip bit-exactly.
 from __future__ import annotations
 
 import io
+import os
 import re
 from itertools import combinations
 from math import comb, isqrt
@@ -131,8 +133,8 @@ def triple_table(n: int) -> np.ndarray:
 
 def _rank_rows(n: int, t: np.ndarray) -> np.ndarray:
     """int64 colex ranks of the rows of an (m, 3) vertex array, sorted in place."""
-    # dumps_h3 writes every row ascending; the check costs a tenth of the sort
-    if not (t[:, :2] < t[:, 1:]).all():
+    # dumps_h3 writes every row ascending; the check costs under a twentieth of the sort
+    if not ((t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2])).all():
         t.sort(axis=1)
     bad = (t[:, 0] < 0) | (t[:, 2] >= n) | (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
     if bad.any():
@@ -400,6 +402,10 @@ def dumps_h3(g: Hypergraph3, fmt: str = "text") -> str:
 
 
 def loads_h3(text: str) -> Hypergraph3:
+    return _read_h3(text)
+
+
+def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
     if "#" in text:
         text = re.sub(r"#[^\n]*", "", text)
     head, _, body = text.lstrip().partition("\n")
@@ -417,12 +423,13 @@ def loads_h3(text: str) -> Hypergraph3:
     # versions cast 1.9 or 1e0 to int
     if bad := body.encode().translate(None, b"0123456789 \t\n\r\v\f\x1c\x1d\x1e\x1f"):
         raise ValueError(f"edge lines hold only unsigned decimal vertices, found {bad.decode()[0]!r}")
-    # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body;
-    # it parses a str faster than the same text as bytes
+    # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body; it reads
+    # a named file in chunks, skipping the lines up to the header, and any other source line by line
     t = np.zeros((0, 3), np.int16)
     if body.strip():  # int16, as the edge array: a larger vertex raises
-        t = np.loadtxt(io.StringIO(body), dtype=np.int16, ndmin=2)
-    del body  # the text is dead before the ranks and the bitmap are built
+        source, skip = (path, text.count("\n", 0, text.index(head)) + 1) if path else (io.StringIO(body), 0)
+        del text, body  # the text is dead before the parse
+        t = np.loadtxt(source, dtype=np.int16, ndmin=2, skiprows=skip, encoding="ascii")
     if t.shape != (m, 3):
         raise ValueError(f"header promises {m} edges, found {t.shape[0]} lines of {t.shape[1]} vertices")
     ranks = _rank_rows(n, t)
@@ -444,4 +451,7 @@ def write_h3(g: Hypergraph3, path, fmt: str = "text") -> None:
 
 def load_h3(path) -> Hypergraph3:
     with open(path, "r", encoding="ascii") as fh:
-        return loads_h3(fh.read())
+        # numpy re-opens the file by its name, made absolute (a str it can parse as a URL it would
+        # download); it cannot re-read a pipe or an fd, and it would decompress these suffixes
+        plain = isinstance(fh.name, str) and fh.seekable() and not fh.name.endswith((".gz", ".bz2", ".xz", ".lzma"))
+        return _read_h3(fh.read(), os.path.join(os.getcwd(), fh.name) if plain else None)

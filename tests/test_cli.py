@@ -100,6 +100,13 @@ def test_missing_input_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("name", ["nope.h3.gz", "nope.bz2", "nope.xz", "nope.lzma", "."])
+def test_missing_or_unreadable_input_exits_1(tmp_path, capsys, name):
+    # the reader opens the file before numpy sees its name, whatever the suffix
+    code, out, err = run(capsys, "verify", "--in", str(tmp_path / name), "--pattern", "K4")
+    assert (code, out) == (1, "") and err.startswith("i/o error: ")
+
+
 def test_cover_f1(tmp_path, capsys):
     out = tmp_path / "f1_9.h3"
     run(capsys, "construct", "f1", "--n", "9", "-o", str(out))

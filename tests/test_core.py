@@ -1,8 +1,12 @@
+import io
+import os
 import random
+import tracemalloc
+import urllib.request
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from itertools import combinations
 from math import comb
 
@@ -14,11 +18,13 @@ from h3cover import (
     f1,
     f1_variant,
     f3,
+    load_h3,
     loads_h3,
     pair_rank,
     steiner,
     triple_rank,
     triple_unrank,
+    write_h3,
 )
 from h3cover import core
 
@@ -505,3 +511,132 @@ def test_loads_matches_line_by_line_reader(text):
     else:
         got = loads_h3(text)
         assert got == want and got.edge_array().tolist() == [list(t) for t in oracles.triples_of(want)]
+
+
+# -- reading files -------------------------------------------------------------
+
+
+def _saved(tmp_path, text, name="g.h3"):
+    """A file holding the text byte for byte, line ends as given."""
+    path = tmp_path / name
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def _assert_reads_alike(path):
+    """load_h3(path) agrees with loads_h3 on the text a universal-newline open returns:
+    an equal graph with an identical edge array, or ValueError from both, with one message."""
+    with open(path, encoding="ascii") as fh:
+        text = fh.read()
+    try:
+        want = loads_h3(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_h3(path)
+        assert str(got.value) == str(exc)
+        return None
+    got = load_h3(path)
+    assert got == want and got.edge_array().dtype == want.edge_array().dtype
+    assert np.array_equal(got.edge_array(), want.edge_array())
+    return got
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(h3_texts())
+def test_load_from_a_file_matches_loads(tmp_path, text):
+    _assert_reads_alike(_saved(tmp_path, text))
+
+
+_FILE_CASES = [
+    "\n# comment\n  \n\t# another\n4 2\n0 1 2\n1 2 3\n",  # comment-only and blank lines before the header
+    "4 2 # n m\n0 1 2\n1 2 3\n",  # a header with a trailing comment
+    "# c\n\n 4 2 # n m\n\n# x\n0 1 2 # e\n\n1 2 3\n# end",
+    "6 0\n  \n\t\n", "6 0\n# none\n", "6 0\n", "6 0",  # blank bodies
+    "4 2\n0 1 2\n1 2 3",  # no final newline
+    "4 2\r\n0 1 2\r\n1 2 3\r\n",  # CRLF
+    "4 2\r0 1 2\r1 2 3\r",  # bare CR
+    "\r\n# c\r\r4 2 # h\r\n\r2 1 0\r\n3 1 2",  # mixed line ends around comments
+    "\f\v\n\x1c\n4 1\x1f\n0\x1c1\v2\f\n\x1f\n",  # other ASCII whitespace, before the header too
+    "# \x00\n4 1 # \x00\n0 1 2 # \x00\n",  # NUL inside comments
+    "4 2\n0 1 2\n1 2\n", "4 2\n0 1 2\n0 1 2\n", "4 1\n0 1 x\n", "4 1\n0 1 4\n", "4 3\n0 1 2\n",
+    "4 1\n0 1 2 # \x00\n\x00\n", "4 1\n0 1 99999\n", "# 1 2\n\n",
+    "n: 4\n3\n", "n: 4\n", "", "  \n",
+]
+
+
+@pytest.mark.parametrize("text", _FILE_CASES)
+def test_load_from_a_file_matches_loads_on_edge_cases(tmp_path, text):
+    path = _saved(tmp_path, text)
+    assert _assert_reads_alike(path) == _assert_reads_alike(str(path))
+
+
+def test_load_hands_numpy_the_file_name(tmp_path, monkeypatch):
+    # the chunked reader runs only on a name; a shuffled file also checks the rows numpy returns
+    g = f1(11)[0]
+    path = _saved(tmp_path, "# f1(11)\n" + _shuffled(dumps_h3(g), random.Random(14)))
+    sources, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda source, **kw: sources.append(source) or loadtxt(source, **kw))
+    monkeypatch.chdir(tmp_path)
+    for name in (path, str(path), "g.h3", "./g.h3"):
+        loaded = load_h3(name)
+        assert loaded == g and np.array_equal(loaded.edge_array(), g.edge_array())
+        assert isinstance(sources[-1], str) and os.path.isabs(sources[-1]) and os.path.samefile(sources[-1], path)
+    assert loads_h3(path.read_text()) == g and isinstance(sources[-1], io.StringIO)
+
+
+def test_load_names_the_file_the_os_opens(tmp_path, monkeypatch):
+    # the name numpy gets keeps "..", which a symlinked directory redirects, and
+    # a relative name that parses as a URL is made absolute instead of fetched
+    g = f1(10)[0]
+    (tmp_path / "a" / "b").mkdir(parents=True)
+    (tmp_path / "link").symlink_to(tmp_path / "a" / "b")
+    write_h3(g, tmp_path / "a" / "g.h3")
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    write_h3(g, tmp_path / "http:" / "host" / "g.h3")
+
+    def no_fetch(*args, **kwargs):
+        raise AssertionError("load_h3 asked numpy to fetch a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+    monkeypatch.chdir(tmp_path)
+    assert load_h3("link/../g.h3") == g
+    assert load_h3("http://host/g.h3") == g
+
+
+@pytest.mark.parametrize("name", ["g.h3.gz", "g.bz2", "g.xz", "g.lzma"])
+def test_load_plain_text_under_a_compressed_suffix(tmp_path, name):
+    # numpy would decompress these names; the text read from the file is parsed instead
+    g = f1(11)[0]
+    plain = load_h3(_saved(tmp_path, dumps_h3(g)))
+    loaded = load_h3(_saved(tmp_path, dumps_h3(g), name))
+    assert loaded == plain == g and np.array_equal(loaded.edge_array(), plain.edge_array())
+
+
+def test_load_reads_a_pipe_and_an_fd(tmp_path):
+    # numpy cannot read either again by name, so both parse the text read from them
+    g = f1(9)[0]
+    r, w = os.pipe()
+    os.write(w, dumps_h3(g).encode())
+    os.close(w)
+    try:
+        assert load_h3(f"/dev/fd/{r}") == g
+    finally:
+        os.close(r)
+    assert load_h3(os.open(_saved(tmp_path, dumps_h3(g)), os.O_RDONLY)) == g
+
+
+def test_load_peak_memory_is_bounded_by_the_file_size(tmp_path):
+    # numpy reads the file itself, so no copy of the text is alive during the parse: the peak
+    # is 4.0 times the file on f1e(99), and 6.8 times with the edge lines in an io.StringIO
+    path = tmp_path / "f1e.h3"
+    write_h3(f1_variant("0", admissible_sample("0", 99, 1), 99)[0], path)
+    load_h3(path)  # first-use imports and caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = load_h3(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 121_016 and peak < 5 * path.stat().st_size
