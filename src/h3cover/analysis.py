@@ -5,13 +5,13 @@ classification, and partition recovery.
 n-vertex hosts in which some vertex lies in no copy of the pattern.  One
 engine serves every n <= 8: a depth-first search over edge bitmap prefixes
 with one slack counter per pair, run for descending targets and bounded by
-an optional time budget.  Each copy of the pattern in K_n (each labelling
-of the pattern placed onto each f-subset) keeps a count of its edges not
-yet decided present; a copy whose count reaches 0 adds its vertices to the
-covered set, and a subtree whose covered set is full is cut, since coverage
-only grows with edges.  So every leaf reached leaves a vertex uncovered.
-The witness is the numerically least edge bitmap among optimal hosts,
-re-checked with the covering search of ``patterns``.
+an optional time budget.  Relabelling keeps codegrees and coverage, so the
+uncovered vertex is taken to be n - 1: each copy of the pattern in K_n (a
+labelling placed onto an f-subset) whose vertices hold n - 1 counts its
+edges not yet decided present, and a subtree is cut once a count reaches 0,
+since coverage only grows with edges.  So every leaf leaves n - 1 uncovered.
+The witness is the numerically least edge bitmap among optimal hosts that
+leave n - 1 uncovered, re-checked with the covering search of ``patterns``.
 
 The link configuration of an outside vertex y against an anchored 4-set
 {a, b, c, x} is which of the six pairs of the 4-set form an edge with y.
@@ -236,11 +236,11 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
 
     For t = n - 2, n - 3, ... a pruned depth-first search visits the hosts of
     minimum codegree >= t in increasing bitmap order; the first t with a host
-    that leaves a vertex uncovered is the value, and that host (the least
-    optimal bitmap) the witness.  ``graphs_scanned`` counts the search nodes
-    (partial hosts deciding every triple above some rank) over all targets
-    tried.  A budget overrun yields a report flagged non-exhaustive with no
-    value, never presented as exact.
+    that leaves vertex n - 1 uncovered (a relabelling of any uncovered host)
+    is the value, and that host the witness.  ``graphs_scanned`` counts the
+    search nodes (partial hosts deciding every triple above some rank) over
+    all targets tried.  A budget overrun yields a report flagged
+    non-exhaustive with no value, never presented as exact.
     """
     if n < pat.f:
         raise ValueError(f"need n >= {pat.f}")
@@ -251,12 +251,12 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
 
     t0 = time.monotonic()
     deadline = t0 + budget_seconds if budget_seconds is not None else None
-    full, nodes = (1 << n) - 1, 0
+    nodes = 0
 
-    def feasible(rank: int, bits: int, covered: int) -> Optional[int]:
+    def feasible(rank: int, bits: int) -> Optional[int]:
         # visits exactly the prefixes whose every pair can still reach the target
-        # codegree and whose present copies leave a vertex uncovered, in increasing
-        # numeric order; coverage only grows with edges, so every leaf is a witness
+        # codegree and that hold no whole copy through n - 1, in increasing numeric
+        # order; coverage only grows with edges, so every leaf is a witness
         nonlocal nodes
         nodes += 1
         # the clock is read at the first node, then every 1024
@@ -267,16 +267,15 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
         ps = pair_ids[rank]
         for p in ps:
             slack[p] -= 1
-        found = feasible(rank - 1, bits, covered) if min(map(slack.__getitem__, ps)) >= 0 else None
+        found = feasible(rank - 1, bits) if min(map(slack.__getitem__, ps)) >= 0 else None
         for p in ps:
             slack[p] += 1
         if found is not None:
             return found
         for i in users[rank]:
             missing[i] -= 1
-            if not missing[i]:
-                covered |= copy_verts[i]
-        found = feasible(rank - 1, bits | (1 << rank), covered) if covered != full else None
+        # only a copy through this triple can have just been completed
+        found = feasible(rank - 1, bits | (1 << rank)) if all(map(missing.__getitem__, users[rank])) else None
         for i in users[rank]:
             missing[i] += 1
         return found
@@ -284,7 +283,7 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
     value = bits = note = None
     target = n - 2  # building the copies counts against the first target's budget
     try:
-        copy_edges, copy_verts = zip(*_copies(pat, n, deadline))
+        copy_edges = [edges for edges, verts in _copies(pat, n, deadline) if verts >> n - 1]
         # missing[i]: edges of copy i not yet decided present; users[r]: the copies through triple r
         missing = [pat.graph.num_edges] * len(copy_edges)
         triples = triple_table(n).tolist()
@@ -296,7 +295,7 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
         for target in range(n - 2, -1, -1):
             # slack[p]: how many more triples of pair p may be absent with the target still reachable
             slack = [n - 2 - target] * comb(n, 2)
-            bits = feasible(len(pair_ids) - 1, 0, 0)
+            bits = feasible(len(pair_ids) - 1, 0)
             if bits is not None:
                 value = target
                 break
@@ -310,7 +309,7 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
     if bits is not None:
         witness = Hypergraph3(n, bits)
         unc = uncovered_vertices(witness, pat)
-        if not unc or witness.min_codegree() != value:
+        if n - 1 not in unc or witness.min_codegree() != value:
             raise RuntimeError("internal error: witness failed re-verification")
         uncovered_vertex = unc[0]
     return SearchReport(

@@ -104,19 +104,20 @@ def degeneracy_r(g):
 def c2_brute(pat, n, hypergraph_cls):
     """Exhaustive threshold by scanning every bitmap with permutation embedding.
 
-    Returns (value, least witness bitmap).
+    Returns (value, witness): the value is the largest minimum codegree of a
+    host that leaves some vertex uncovered, and the witness the least bitmap
+    at that value whose host leaves vertex n - 1 uncovered.
     """
     from math import comb
 
-    best_val, best_bits = None, None
+    hosts = []  # (min codegree, bitmap, leaves n - 1 uncovered) of every host leaving a vertex uncovered
     for bits in range(1 << comb(n, 3)):
         g = hypergraph_cls(n, bits)
-        if all(embeds_through(g, x, pat) for x in range(n)):
-            continue
-        val = min_codegree(g)
-        if best_val is None or val > best_val:
-            best_val, best_bits = val, bits
-    return best_val, best_bits
+        last_uncovered = not embeds_through(g, n - 1, pat)
+        if last_uncovered or not all(embeds_through(g, x, pat) for x in range(n - 1)):
+            hosts.append((min_codegree(g), bits, last_uncovered))
+    value = max(val for val, _, _ in hosts)
+    return value, min(bits for val, bits, last_uncovered in hosts if val == value and last_uncovered)
 
 
 def copies(pat, n):
@@ -134,8 +135,8 @@ def search_nodes(pat, n, value, witness_bits):
 
     A node decides every triple of rank >= r, for some r (the root decides
     none).  For a target t it is visited when no pair lies in more than
-    n - 2 - t of its absent triples and the copies of the pattern whose edges
-    are all present in it leave some vertex uncovered.  Every such node counts
+    n - 2 - t of its absent triples and no copy of the pattern whose vertices
+    hold n - 1 has all its edges present in it.  Every such node counts
     for each target above the value; for the value, only those at or before
     the witness in depth-first order, absent before present, which are the
     ones whose present triples read as a number at most the witness's present
@@ -146,7 +147,7 @@ def search_nodes(pat, n, value, witness_bits):
     m = comb(n, 3)
     triples = sorted(combinations(range(n), 3), key=lambda t: triple_rank(*t))
     pairs = list(combinations(range(n), 2))
-    present_copies = copies(pat, n)
+    last_copies = [edges for edges, verts in copies(pat, n) if verts >> (n - 1) & 1]
     count = 0
     for target in range(n - 2, value - 1, -1):
         for r in range(m + 1):
@@ -157,11 +158,7 @@ def search_nodes(pat, n, value, witness_bits):
                 absent = [triples[k] for k in range(r, m) if not decided >> k & 1]
                 if any(sum(1 for t in absent if u in t and v in t) > n - 2 - target for u, v in pairs):
                     continue
-                covered = 0
-                for edges, verts in present_copies:
-                    if edges & decided == edges:
-                        covered |= verts
-                if covered != (1 << n) - 1:
+                if not any(edges & decided == edges for edges in last_copies):
                     count += 1
     return count
 
