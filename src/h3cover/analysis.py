@@ -3,15 +3,16 @@ classification, and partition recovery.
 
 ``c2_exact`` computes, by exhaustion, the largest minimum codegree among
 n-vertex hosts in which some vertex lies in no copy of the pattern.  One
-engine serves every n <= 8: a depth-first search over edge bitmap prefixes
+engine serves every n <= 9: a depth-first search over edge bitmap prefixes
 with one slack counter per pair, run for descending targets and bounded by
 an optional time budget.  Relabelling keeps codegrees and coverage, so the
-uncovered vertex is taken to be n - 1: each copy of the pattern in K_n (a
-labelling placed onto an f-subset) whose vertices hold n - 1 counts its
-edges not yet decided present, and a subtree is cut once a count reaches 0,
-since coverage only grows with edges.  So every leaf leaves n - 1 uncovered.
-The witness is the numerically least edge bitmap among optimal hosts that
-leave n - 1 uncovered, re-checked with the covering search of ``patterns``.
+uncovered vertex is taken to be n - 1, and the others are put in the order
+of their degrees in its link, which is decided first: a prefix is cut once
+a final link degree is below the next one, or once a copy of the pattern
+through n - 1 is complete, since coverage only grows with edges.  The
+witness is the least edge bitmap among optimal hosts that leave n - 1
+uncovered and whose link of n - 1 has degrees that do not increase with
+the vertex, re-checked with the covering search of ``patterns``.
 
 The link configuration of an outside vertex y against an anchored 4-set
 {a, b, c, x} is which of the six pairs of the 4-set form an edge with y.
@@ -30,7 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Hypergraph3, _iter_bits, pair_rank, triple_table
+from .core import Hypergraph3, _iter_bits
 from .constructions import ConstructionClaims, Tripartition
 from .patterns import Pattern, greedy_cover_bound, uncovered_vertices
 
@@ -184,7 +185,7 @@ def classify_sy(g: Hypergraph3, quad: tuple[int, int, int, int], y: int) -> SyCl
 # -- exact exhaustive search --------------------------------------------------
 
 # Largest vertex count for which the exact threshold search (c2_exact) runs
-EXACT_MODE_CAP = 8
+EXACT_MODE_CAP = 9
 
 
 class SearchReport(NamedTuple):
@@ -201,12 +202,12 @@ class SearchReport(NamedTuple):
     note: Optional[str] = None
 
 
-def _copies(pat: Pattern, n: int, deadline: Optional[float] = None) -> list[tuple[int, int]]:
-    """(edge bitmap, vertex bitmap) of every copy of the pattern in K_n: each
+def _copies(pat: Pattern, n: int, deadline: Optional[float] = None) -> list[int]:
+    """Edge bitmap of every copy of the pattern in K_n through n - 1: each
     distinct labelling of the pattern on its own f vertices, placed in order
-    onto each f-subset of [n].  No pair repeats, though a pattern with an
-    isolated vertex has copies with equal edges on different vertex sets.
-    TimeoutError once the clock, read once per labelling, passes the deadline."""
+    onto each f-subset of [n] that holds n - 1 (with an isolated vertex, equal
+    edges on different vertex sets).  TimeoutError once the clock, read once
+    per labelling, passes the deadline."""
     # a labelling is its sorted tuple of sorted edges; adjacent transpositions
     # generate every permutation, so closing the pattern under them finds all.
     # Swapping i and i + 1 keeps an edge sorted unless it holds both, and then
@@ -226,21 +227,22 @@ def _copies(pat: Pattern, n: int, deadline: Optional[float] = None) -> list[tupl
     # on an ascending subset s the edge a < b < c keeps its order, so its rank is read off s
     c2, c3 = [comb(v, 2) for v in range(n)], [comb(v, 3) for v in range(n)]
     return [
-        (sum(1 << (s[a] + c2[s[b]] + c3[s[c]]) for a, b, c in lab), sum(1 << v for v in s))
-        for s in combinations(range(n), pat.f) for lab in labellings
+        sum(1 << (s[a] + c2[s[b]] + c3[s[c]]) for a, b, c in lab)
+        for s in (t + (n - 1,) for t in combinations(range(n - 1), pat.f - 1)) for lab in labellings
     ]
 
 
 def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> SearchReport:
-    """Exact covering codegree threshold at one n, by exhaustion (f <= n <= 8).
+    """Exact covering codegree threshold at one n, by exhaustion (f <= n <= 9).
 
     For t = n - 2, n - 3, ... a pruned depth-first search visits the hosts of
     minimum codegree >= t in increasing bitmap order; the first t with a host
-    that leaves vertex n - 1 uncovered (a relabelling of any uncovered host)
-    is the value, and that host the witness.  ``graphs_scanned`` counts the
-    search nodes (partial hosts deciding every triple above some rank) over
-    all targets tried.  A budget overrun yields a report flagged
-    non-exhaustive with no value, never presented as exact.
+    that leaves vertex n - 1 uncovered and has link degrees of n - 1 that do
+    not increase from 0 to n - 2 (a relabelling of any uncovered host) is the
+    value, and that host the witness.  ``graphs_scanned`` counts the search
+    nodes (partial hosts deciding every triple above some rank) over all
+    targets tried.  A budget overrun yields a report flagged non-exhaustive
+    with no value, never presented as exact.
     """
     if n < pat.f:
         raise ValueError(f"need n >= {pat.f}")
@@ -254,44 +256,57 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
     nodes = 0
 
     def feasible(rank: int, bits: int) -> Optional[int]:
-        # visits exactly the prefixes whose every pair can still reach the target
-        # codegree and that hold no whole copy through n - 1, in increasing numeric
-        # order; coverage only grows with edges, so every leaf is a witness
+        # visits, in increasing numeric order, exactly the prefixes whose every pair can
+        # still reach the target codegree, that hold no whole copy through n - 1 and whose
+        # final link degrees of n - 1 do not increase; so every leaf is a witness
         nonlocal nodes
+        chain = order[rank + 1]
+        if chain is not None and not slack[chain[0]] >= slack[chain[1]] >= slack[chain[2]]:
+            return None
         nodes += 1
         # the clock is read at the first node, then every 1024
         if deadline is not None and nodes % 1024 == 1 and time.monotonic() > deadline:
             raise TimeoutError
         if rank < 0:
             return bits
-        ps = pair_ids[rank]
-        for p in ps:
-            slack[p] -= 1
-        found = feasible(rank - 1, bits) if min(map(slack.__getitem__, ps)) >= 0 else None
-        for p in ps:
-            slack[p] += 1
-        if found is not None:
-            return found
-        for i in users[rank]:
-            missing[i] -= 1
-        # only a copy through this triple can have just been completed
-        found = feasible(rank - 1, bits | (1 << rank)) if all(map(missing.__getitem__, users[rank])) else None
-        for i in users[rank]:
-            missing[i] += 1
+        # test a branch before moving its counters: absent needs every slack > 0, present every room > 0
+        ps, us = pair_ids[rank], users[rank]
+        if all(map(slack.__getitem__, ps)):
+            for p in ps:
+                slack[p] -= 1
+            found = feasible(rank - 1, bits)
+            for p in ps:
+                slack[p] += 1
+            if found is not None:
+                return found
+        if not all(map(room.__getitem__, us)):
+            return None
+        for i in us:
+            room[i] -= 1
+        found = feasible(rank - 1, bits | (1 << rank))
+        for i in us:
+            room[i] += 1
         return found
 
     value = bits = note = None
     target = n - 2  # building the copies counts against the first target's budget
     try:
-        copy_edges = [edges for edges, verts in _copies(pat, n, deadline) if verts >> n - 1]
-        # missing[i]: edges of copy i not yet decided present; users[r]: the copies through triple r
-        missing = [pat.graph.num_edges] * len(copy_edges)
-        triples = triple_table(n).tolist()
-        users: list[list[int]] = [[] for _ in triples]
+        copy_edges = _copies(pat, n, deadline)
+        # room[i]: how many more edges of copy i may be present; users[r]: the copies through triple r
+        room = [pat.graph.num_edges - 1] * len(copy_edges)
+        c2 = [comb(v, 2) for v in range(n)]
+        pair_ids = [(a + c2[b], a + c2[c], b + c2[c]) for c in range(n) for b in range(c) for a in range(b)]
+        users: list[list[int]] = [[] for _ in pair_ids]
         for i, e in enumerate(copy_edges):
             for r in _iter_bits(e):
                 users[r].append(i)
-        pair_ids = [tuple(pair_rank(u, v) for u, v in combinations(t, 2)) for t in triples]
+        # the link of n - 1 comes first, pair (a, b) at rank C(n - 1, 3) + C(b, 2) + a.  Once a = 0
+        # is decided deg(b) is final (at b = 1 so is deg(0)): it is target + the slack of pair
+        # (b, n - 1), so deg(b) >= deg(b + 1) (and deg(0) >= deg(1)) is a chain of slacks
+        order: list[Optional[tuple[int, int, int]]] = [None] * (len(pair_ids) + 1)
+        link = c2[n - 1]  # pair (v, n - 1) has id v + link
+        for b in range(1, n - 1):
+            order[comb(n - 1, 3) + c2[b]] = (link + (0 if b == 1 else b), link + b, link + min(b + 1, n - 2))
         for target in range(n - 2, -1, -1):
             # slack[p]: how many more triples of pair p may be absent with the target still reachable
             slack = [n - 2 - target] * comb(n, 2)

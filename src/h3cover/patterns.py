@@ -43,9 +43,10 @@ from __future__ import annotations
 import re
 from functools import cache
 from itertools import combinations
+from math import comb
 from typing import Iterable, NamedTuple, Optional
 
-from .core import Hypergraph3, _iter_bits
+from .core import Hypergraph3, _iter_bits, triple_rank
 
 __all__ = [
     "Pattern",
@@ -106,27 +107,26 @@ def degeneracy(g: Hypergraph3) -> tuple[int, tuple[int, ...]]:
 
 
 def _catalog_graph(name: str, t: Optional[int]) -> tuple[str, Hypergraph3]:
+    # a handful of scalar ranks costs less than the numpy passes of from_triples
     m = re.fullmatch(r"K(\d*)(-?)", name)
     if m and (m.group(1) or t is not None):
         size = int(m.group(1)) if m.group(1) else t
         minus = m.group(2) == "-"
         if size is None or size < 4:
             raise ValueError("complete patterns need t >= 4")
-        edges = set(combinations(range(size), 3))
-        if minus:
-            edges.discard((size - 3, size - 2, size - 1))
-        return (f"K{size}-" if minus else f"K{size}"), Hypergraph3.from_triples(size, edges)
+        # K_t has every rank below C(t, 3); K_t- drops the last, that of (t - 3, t - 2, t - 1)
+        return (f"K{size}-" if minus else f"K{size}"), Hypergraph3(size, (1 << comb(size, 3) - minus) - 1)
     m = re.fullmatch(r"C(\d*)", name)
     if m and (m.group(1) or t is not None):
         size = int(m.group(1)) if m.group(1) else t
         if size is None or size < 5:
             raise ValueError("tight cycles need t >= 5")
-        edges = [tuple(sorted((i % size, (i + 1) % size, (i + 2) % size))) for i in range(size)]
-        return f"C{size}", Hypergraph3.from_triples(size, edges)
+        edges = ((i, (i + 1) % size, (i + 2) % size) for i in range(size))
+        return f"C{size}", Hypergraph3(size, sum(1 << triple_rank(*e) for e in edges))
     if name == "Fano":
-        return "Fano", Hypergraph3.from_triples(7, _FANO_LINES)
+        return "Fano", Hypergraph3(7, sum(1 << triple_rank(*e) for e in _FANO_LINES))
     if name == "F32":
-        return "F32", Hypergraph3.from_triples(5, _F32_EDGES)
+        return "F32", Hypergraph3(5, sum(1 << triple_rank(*e) for e in _F32_EDGES))
     m = re.fullmatch(r"STS:?(\d*)", name)
     if m and (m.group(1) or t is not None):
         size = int(m.group(1)) if m.group(1) else t

@@ -101,23 +101,30 @@ def degeneracy_r(g):
     return best
 
 
+def link_degrees_ordered(g):
+    """Do the degrees of 0, 1, ..., n - 2 in the link of n - 1 never increase?"""
+    degrees = [codegree(g, v, g.n - 1) for v in range(g.n - 1)]
+    return all(d >= e for d, e in zip(degrees, degrees[1:]))
+
+
 def c2_brute(pat, n, hypergraph_cls):
     """Exhaustive threshold by scanning every bitmap with permutation embedding.
 
     Returns (value, witness): the value is the largest minimum codegree of a
     host that leaves some vertex uncovered, and the witness the least bitmap
-    at that value whose host leaves vertex n - 1 uncovered.
+    at that value whose host leaves vertex n - 1 uncovered and has link
+    degrees of n - 1 that do not increase with the vertex.
     """
     from math import comb
 
-    hosts = []  # (min codegree, bitmap, leaves n - 1 uncovered) of every host leaving a vertex uncovered
+    hosts = []  # (min codegree, bitmap, is a witness candidate) of every host leaving a vertex uncovered
     for bits in range(1 << comb(n, 3)):
         g = hypergraph_cls(n, bits)
         last_uncovered = not embeds_through(g, n - 1, pat)
         if last_uncovered or not all(embeds_through(g, x, pat) for x in range(n - 1)):
-            hosts.append((min_codegree(g), bits, last_uncovered))
+            hosts.append((min_codegree(g), bits, last_uncovered and link_degrees_ordered(g)))
     value = max(val for val, _, _ in hosts)
-    return value, min(bits for val, bits, last_uncovered in hosts if val == value and last_uncovered)
+    return value, min(bits for val, bits, candidate in hosts if val == value and candidate)
 
 
 def copies(pat, n):
@@ -135,8 +142,10 @@ def search_nodes(pat, n, value, witness_bits):
 
     A node decides every triple of rank >= r, for some r (the root decides
     none).  For a target t it is visited when no pair lies in more than
-    n - 2 - t of its absent triples and no copy of the pattern whose vertices
-    hold n - 1 has all its edges present in it.  Every such node counts
+    n - 2 - t of its absent triples, no copy of the pattern whose vertices
+    hold n - 1 has all its edges present in it, and no two vertices v, v + 1
+    below n - 1 whose pairs with n - 1 have all their triples decided have
+    deg(v) < deg(v + 1) in the link of n - 1.  Every such node counts
     for each target above the value; for the value, only those at or before
     the witness in depth-first order, absent before present, which are the
     ones whose present triples read as a number at most the witness's present
@@ -158,7 +167,15 @@ def search_nodes(pat, n, value, witness_bits):
                 absent = [triples[k] for k in range(r, m) if not decided >> k & 1]
                 if any(sum(1 for t in absent if u in t and v in t) > n - 2 - target for u, v in pairs):
                     continue
-                if not any(edges & decided == edges for edges in last_copies):
+                if any(edges & decided == edges for edges in last_copies):
+                    continue
+                present = [triples[k] for k in range(r, m) if decided >> k & 1]
+                final = [
+                    sum(1 for t in present if v in t and n - 1 in t)
+                    if all(triple_rank(v, w, n - 1) >= r for w in range(n - 1) if w != v) else None
+                    for v in range(n - 1)
+                ]
+                if not any(d is not None and e is not None and d < e for d, e in zip(final, final[1:])):
                     count += 1
     return count
 

@@ -173,33 +173,40 @@ def test_c2_exact_n5_matches_brute_force(name):
 
 
 # (pattern, n, value, witness bitmap, least uncovered vertex).  The witness is
-# the least bitmap among optimal hosts that leave n - 1 uncovered.  Two cuts of
-# the DFS agree on 22 rows, witness included: the one that cuts a subtree once
-# its present copies cover every vertex, and the one that cuts it once a copy
-# through n - 1 is complete.  On K4 at 8 and K4-, C5, C6 and F32 at 7 they
-# agree on the value only: the first's witness, the least optimal bitmap,
-# leaves n - 1 covered there.  K4- at 8 comes from the second alone.  At
-# n <= 6 a full scan of every edge bitmap agrees as well, and every witness is
-# re-checked by brute force.
+# the least bitmap among optimal hosts that leave n - 1 uncovered and whose
+# link of n - 1 has degrees that do not increase from vertex 0 to n - 2.  Two
+# cuts of the DFS agree on 22 rows, witness included: the one that cuts a
+# subtree once its present copies cover every vertex, and the one that cuts it
+# once a copy through n - 1 is complete.  On K4 at 8 and K4-, C5, C6 and F32
+# at 7 they agree on the value only: the first's witness, the least optimal
+# bitmap, leaves n - 1 covered there.  K4- at 8 comes from the second alone.
+# The link-degree order keeps every one of those 28 rows, witness included;
+# the rows at n = 9 and F32 at 8 come from it alone.  At n <= 6 a full scan of
+# every edge bitmap agrees as well, and every witness is re-checked by brute
+# force.
 EXACT_TABLE = [
     ("K4", 4, 1, 7, 0),
     ("K4", 5, 2, 495, 4),
     ("K4", 6, 2, 227823, 4),
     ("K4", 7, 3, 8045192191, 5),
     ("K4", 8, 4, 17722993536722559, 7),
+    ("K4", 9, 4, 2303329657782917672206335, 6),
     ("K4-", 4, 0, 0, 0),
     ("K4-", 5, 1, 184, 0),
     ("K4-", 6, 2, 242467, 0),
     ("K4-", 7, 2, 3469495075, 6),
     ("K4-", 8, 2, 3491375444937507, 7),
+    ("K4-", 9, 3, 1084806934576404875138231, 8),
     ("K5", 5, 2, 495, 0),
     ("K5", 6, 3, 520157, 0),
     ("K5", 7, 4, 17145247551, 0),
     ("K5", 8, 5, 36011067117123567, 0),
+    ("K5", 9, 6, 9670223587109769633066879, 0),
     ("K5-", 5, 2, 495, 0),
     ("K5-", 6, 3, 520157, 0),
     ("K5-", 7, 4, 17145247551, 0),
     ("K5-", 8, 4, 17449644616304495, 0),
+    ("K5-", 9, 5, 4760087660548509342119935, 8),
     ("C5", 5, 1, 183, 0),
     ("C5", 6, 2, 241500, 0),
     ("C5", 7, 2, 3454830099, 0),
@@ -210,6 +217,7 @@ EXACT_TABLE = [
     ("F32", 5, 1, 183, 0),
     ("F32", 6, 2, 242467, 0),
     ("F32", 7, 2, 3468938019, 6),
+    ("F32", 8, 2, 3491365210278691, 7),
 ]
 
 
@@ -234,22 +242,29 @@ def test_c2_exact_within_theorem_bracket():
 
 
 def test_c2_exact_budget_yields_partial():
-    # C5 at n = 8 runs for minutes; every pattern finishes at n = 7 within 0.3 s
+    # C5 at n = 8 takes about 40 s, so 0.05 s truncates it
     rep = c2_exact(pattern("C5"), 8, budget_seconds=0.05)
     assert not rep.exhaustive
     assert rep.note is not None
     assert rep.value is None
 
 
-# K5 is left out: its whole search at n = 8 ends within the budget
-@pytest.mark.parametrize("name", ["K4", "K4-", "C5", "C6", "C7", "C8", "F32", "Fano", "K5-"])
+# name: (n, budget), each whole search at least 20 times its budget (in process
+# on 2 shared cores): K4 at 9 takes 1.4 s, K4- at 9 28 ms, K5- at 9 0.14 s, F32
+# at 8 1.2 s, Fano at 8 10 s, C5-C7 at 8 40 s or more, and C8 at 8 does not end
+# within 5 s.  K5 is left out: its whole search ends within 5 ms at n = 8 and 9
+OVERRUN_ROWS = {
+    "K4": (9, 0.01), "K4-": (9, 0.001), "K5-": (9, 0.001), "F32": (8, 0.01), "Fano": (8, 0.01),
+    "C5": (8, 0.01), "C6": (8, 0.01), "C7": (8, 0.01), "C8": (8, 0.01),
+}
+
+
+@pytest.mark.parametrize("name", OVERRUN_ROWS)
 def test_c2_exact_budget_overrun_is_bounded(name):
-    # a budget well inside each whole search at n = 8 (K5-'s takes about 0.1 s on
-    # 2 cores; K4-'s takes about 25 ms, which a fast runner could bring under
-    # 0.01 s, so it gets 1 ms); building the pattern's copies counts against it
-    budget = 0.001 if name == "K4-" else 0.01
+    # building the pattern's copies counts against the budget
+    n, budget = OVERRUN_ROWS[name]
     t0 = time.perf_counter()
-    rep = c2_exact(pattern(name), 8, budget_seconds=budget)
+    rep = c2_exact(pattern(name), n, budget_seconds=budget)
     elapsed = time.perf_counter() - t0
     assert not rep.exhaustive
     assert elapsed - budget < 0.05
@@ -259,7 +274,13 @@ def test_c2_exact_rejects_small_n():
     with pytest.raises(ValueError):
         c2_exact(pattern("K4"), 3)
     with pytest.raises(ValueError):
-        c2_exact(pattern("K4"), 9)
+        c2_exact(pattern("K4"), 10)
+
+
+def test_c2_exact_runs_at_the_cap():
+    assert analysis.EXACT_MODE_CAP == 9
+    rep = c2_exact(pattern("K4"), 9)
+    assert (rep.value, rep.exhaustive) == (4, True)
 
 
 @pytest.mark.parametrize("budget", [-1, float("nan")])
@@ -280,26 +301,24 @@ COPY_PATTERNS = pytest.mark.parametrize(
 
 @COPY_PATTERNS
 def test_copies_match_oracle(pat):
+    # the search needs only the copies whose vertices hold n - 1
     for n in range(pat.f, 9):
-        assert sorted(analysis._copies(pat, n)) == oracles.copies(pat, n), n
+        want = sorted(edges for edges, verts in oracles.copies(pat, n) if verts >> (n - 1) & 1)
+        assert sorted(analysis._copies(pat, n)) == want, n
 
 
 @COPY_PATTERNS
 def test_leaf_uncovered_mask_matches_oracle(pat):
-    # the rule behind the search's cut: a host leaves uncovered exactly the
-    # vertices in none of the copies whose edges it all has
+    # the rule behind the search's cut: a host leaves n - 1 uncovered exactly
+    # when none of the copies through n - 1 has all its edges in the host
     rng = random.Random(pat.name)
     for n in range(max(5, pat.f), 8):
         copies = analysis._copies(pat, n)
-        # densities at which some draws leave part of the vertices uncovered
+        # densities at which some draws leave n - 1 uncovered
         for density in (0.4, 0.4, 0.6, 0.6, 0.75, 0.75, 0.85, 0.85):
             host = Hypergraph3(n, sum(1 << r for r in range(comb(n, 3)) if rng.random() < density))
-            covered = 0
-            for edges, verts in copies:
-                if edges & host.bits == edges:
-                    covered |= verts
-            want = sum(1 << x for x in oracles.uncovered(host, pat))
-            assert (1 << n) - 1 & ~covered == want, (n, host.bits)
+            uncovered = not any(edges & host.bits == edges for edges in copies)
+            assert uncovered == (not oracles.embeds_through(host, n - 1, pat)), (n, host.bits)
 
 
 def test_exact_search_leaves_skip_the_covering_engine(monkeypatch):

@@ -131,7 +131,7 @@ def test_search_small(capsys):
 
 
 def test_search_budget_exit_code(capsys):
-    # C5 at n = 8 runs for minutes; every pattern finishes at n = 7 within 0.3 s
+    # C5 at n = 8 takes about 40 s, so 0.05 s truncates it
     code, stdout, _ = run(
         capsys, "search", "--pattern", "C5", "--n", "8", "--budget-seconds", "0.05"
     )

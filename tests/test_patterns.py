@@ -69,6 +69,33 @@ def test_every_pattern_has_an_edge():
         assert pattern(name).graph.num_edges >= 1
 
 
+def _catalog_edges(name):
+    """The defining edge list of a catalog name, spelled out triple by triple."""
+    if name == "Fano":
+        return 7, patterns._FANO_LINES
+    if name == "F32":
+        return 5, patterns._F32_EDGES
+    size = int(name.strip("KC-"))
+    if name.startswith("C"):
+        return size, [(i, (i + 1) % size, (i + 2) % size) for i in range(size)]
+    edges = set(combinations(range(size), 3))
+    if name.endswith("-"):
+        edges.remove((size - 3, size - 2, size - 1))
+    return size, edges
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted({*CATALOG, *(f"K{t}" for t in range(4, 8)), *(f"K{t}-" for t in range(4, 8)),
+            *(f"C{t}" for t in range(5, 9))}),
+)
+def test_catalog_bitmaps_match_build(name):
+    # the catalog computes its bitmaps from scalar ranks; build ranks the edge list in numpy
+    size, edges = _catalog_edges(name)
+    assert pattern(name).graph.bits == build(size, edges).bits
+    assert pattern(name).graph.n == size
+
+
 # -- degeneracy ----------------------------------------------------------------
 
 
