@@ -4,14 +4,11 @@ extremal constructions, and exact tiny-n threshold search."""
 from .core import (
     Hypergraph3,
     LinkGraph,
-    build,
     dumps_h3,
     loads_h3,
     write_h3,
     load_h3,
     triple_rank,
-    triple_unrank,
-    pair_rank,
 )
 from .patterns import (
     CATALOG,

@@ -61,7 +61,7 @@ def _f1_variant(args, case: str):
 # name -> (the option that sizes it, function of the parsed arguments returning (graph, claims))
 CONSTRUCTIONS = {
     "f1": ("n", lambda args: f1(args.n)),
-    "f1e": ("n", lambda args: _f1_variant(args, args.case if args.case is not None else str(args.n % 3))),
+    "f1e": ("n", lambda args: _f1_variant(args, str(args.n % 3))),
     "f1p": ("n", lambda args: _f1_variant(args, "2p")),
     "f2": ("n", lambda args: f2(args.n)),
     "f3": ("n", lambda args: f3(args.n)),
@@ -206,7 +206,6 @@ _COMMANDS = {
         (("--n",), dict(type=int, default=None)),
         (("--t",), dict(type=int, default=None, help="vertex count for sts")),
         (("--seed",), dict(type=int, default=0)),
-        (("--case",), dict(choices=("0", "1", "2", "2p"), default=None)),
         (("--base",), dict(default=None, help=".h3 file with the base graph for blowup")),
         (("--factor",), dict(type=int, default=2, help="part size for blowup")),
         (("-o", "--output"), dict(default=None)),

@@ -37,7 +37,8 @@ Two interchangeable text encodings are supported by ``dumps_h3``/``loads_h3``:
 * hex form: a header line ``n: <vertices>`` followed by the raw edge bitmap
   as a hex string (most significant digits first; may wrap over lines).
 
-Both forms round-trip bit-exactly.
+Both forms round-trip bit-exactly.  Their numbers are ASCII digits (hex digits in
+the bitmap) between ASCII whitespace, with no sign, ``_`` or ``0x`` prefix.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import io
 import os
 import re
 from itertools import combinations
-from math import comb, isqrt
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -54,10 +55,7 @@ import numpy as np
 __all__ = [
     "Hypergraph3",
     "LinkGraph",
-    "build",
     "triple_rank",
-    "triple_unrank",
-    "pair_rank",
     "triple_table",
     "dumps_h3",
     "loads_h3",
@@ -77,31 +75,6 @@ def triple_rank(a: int, b: int, c: int) -> int:
     if a < 0:
         raise ValueError(f"negative vertex in triple: {(a, b, c)}")
     return a + comb(b, 2) + comb(c, 3)
-
-
-def triple_unrank(rank: int) -> tuple[int, int, int]:
-    """Inverse of :func:`triple_rank`: the sorted triple with the given rank."""
-    if rank < 0:
-        raise ValueError("rank must be non-negative")
-    # c is the largest with C(c,3) <= rank; the cube root lands within one step
-    c = int((6 * rank) ** (1 / 3)) + 2
-    while comb(c, 3) > rank:
-        c -= 1
-    while comb(c + 1, 3) <= rank:
-        c += 1
-    rest = rank - comb(c, 3)
-    b = (1 + isqrt(8 * rest + 1)) // 2
-    return rest - comb(b, 2), b, c
-
-
-def pair_rank(u: int, v: int) -> int:
-    """Colex rank of the unordered pair {u,v}."""
-    if u == v:
-        raise ValueError(f"pair has a repeated vertex: {(u, v)}")
-    u, v = (u, v) if u < v else (v, u)
-    if u < 0:
-        raise ValueError(f"negative vertex in pair: {(u, v)}")
-    return u + comb(v, 2)
 
 
 # -- colex ranks of whole vertex arrays, and bitmaps of whole rank arrays -------
@@ -373,11 +346,6 @@ class LinkGraph:
         return f"LinkGraph(x={self.x}, pairs={sum(adj.bit_count() for adj in self._row) // 2})"
 
 
-def build(n: int, triples: Iterable[Sequence[int]]) -> Hypergraph3:
-    """Graph on n vertices containing exactly the given triples (deduplicated)."""
-    return Hypergraph3.from_triples(n, triples)
-
-
 def _iter_bits(mask: int) -> Iterator[int]:
     while mask:
         yield (mask & -mask).bit_length() - 1
@@ -405,6 +373,17 @@ def loads_h3(text: str) -> Hypergraph3:
     return _read_h3(text)
 
 
+_DIGITS, _SPACE = b"0123456789", b" \t\n\r\v\f\x1c\x1d\x1e\x1f"
+
+
+def _only(text: str, chars: bytes, what: str) -> str:
+    """text, if it holds no character outside the ASCII chars: int() also takes signs, '_',
+    a 0x prefix and non-ASCII digits, loadtxt signs, and some numpy versions cast 1.9 to int"""
+    if bad := text.encode().translate(None, chars):
+        raise ValueError(f"{what}, found {bad.decode()[0]!r}")
+    return text
+
+
 def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
     if "#" in text:
         text = re.sub(r"#[^\n]*", "", text)
@@ -412,17 +391,15 @@ def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
     if not head:
         raise ValueError("empty .h3 input")
     if head.startswith("n:"):
-        n = int(head[2:].strip())
+        n = int(_only(head[2:], _DIGITS + _SPACE, "the header holds only unsigned decimal counts"))
+        body = _only(body, _DIGITS + b"abcdefABCDEF" + _SPACE, "the bitmap holds only hex digits")
         hexstr = "".join(line.strip() for line in body.splitlines())
         return Hypergraph3(n, int(hexstr, 16) if hexstr else 0)
-    parts = head.split()
+    parts = _only(head, _DIGITS + _SPACE, "the header holds only unsigned decimal counts").split()
     if len(parts) != 2:
         raise ValueError(f"bad header line {head!r}: expected 'n m' or 'n: <count>'")
-    n, m = int(parts[0]), int(parts[1])
-    # digits and ASCII whitespace only: loadtxt alone would accept signs, and some numpy
-    # versions cast 1.9 or 1e0 to int
-    if bad := body.encode().translate(None, b"0123456789 \t\n\r\v\f\x1c\x1d\x1e\x1f"):
-        raise ValueError(f"edge lines hold only unsigned decimal vertices, found {bad.decode()[0]!r}")
+    n, m = map(int, parts)
+    _only(body, _DIGITS + _SPACE, "edge lines hold only unsigned decimal vertices")
     # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body; it reads
     # a named file in chunks, skipping the lines up to the header, and any other source line by line
     t = np.zeros((0, 3), np.int16)
@@ -436,8 +413,8 @@ def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
     if not (ranks[1:] > ranks[:-1]).all():  # dumps_h3 writes rank order; sorted, a repeat is adjacent
         order = ranks.argsort()
         ranks, t = ranks[order], t[order]
-        if (twice := ranks[1:][ranks[1:] == ranks[:-1]]).size:
-            raise ValueError(f"edge {' '.join(map(str, triple_unrank(int(twice[0]))))} is listed twice")
+        if (twice := np.flatnonzero(ranks[1:] == ranks[:-1])).size:
+            raise ValueError(f"edge {' '.join(map(str, t[twice[0]].tolist()))} is listed twice")
     g = Hypergraph3(n, _bitmap(ranks))
     g._triples = t  # the parsed rows: no reader of the file decodes the bitmap
     t.flags.writeable = False

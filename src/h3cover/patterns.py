@@ -106,20 +106,17 @@ def degeneracy(g: Hypergraph3) -> tuple[int, tuple[int, ...]]:
     return r, tuple(reversed(order_rev))
 
 
-def _catalog_graph(name: str, t: Optional[int]) -> tuple[str, Hypergraph3]:
+def _catalog_graph(name: str) -> tuple[str, Hypergraph3]:
     # a handful of scalar ranks costs less than the numpy passes of from_triples
-    m = re.fullmatch(r"K(\d*)(-?)", name)
-    if m and (m.group(1) or t is not None):
-        size = int(m.group(1)) if m.group(1) else t
-        minus = m.group(2) == "-"
-        if size is None or size < 4:
+    if m := re.fullmatch(r"K([0-9]+)(-?)", name):
+        size, minus = int(m.group(1)), m.group(2) == "-"
+        if size < 4:
             raise ValueError("complete patterns need t >= 4")
         # K_t has every rank below C(t, 3); K_t- drops the last, that of (t - 3, t - 2, t - 1)
-        return (f"K{size}-" if minus else f"K{size}"), Hypergraph3(size, (1 << comb(size, 3) - minus) - 1)
-    m = re.fullmatch(r"C(\d*)", name)
-    if m and (m.group(1) or t is not None):
-        size = int(m.group(1)) if m.group(1) else t
-        if size is None or size < 5:
+        return f"K{size}{m.group(2)}", Hypergraph3(size, (1 << comb(size, 3) - minus) - 1)
+    if m := re.fullmatch(r"C([0-9]+)", name):
+        size = int(m.group(1))
+        if size < 5:
             raise ValueError("tight cycles need t >= 5")
         edges = ((i, (i + 1) % size, (i + 2) % size) for i in range(size))
         return f"C{size}", Hypergraph3(size, sum(1 << triple_rank(*e) for e in edges))
@@ -127,22 +124,16 @@ def _catalog_graph(name: str, t: Optional[int]) -> tuple[str, Hypergraph3]:
         return "Fano", Hypergraph3(7, sum(1 << triple_rank(*e) for e in _FANO_LINES))
     if name == "F32":
         return "F32", Hypergraph3(5, sum(1 << triple_rank(*e) for e in _F32_EDGES))
-    m = re.fullmatch(r"STS:?(\d*)", name)
-    if m and (m.group(1) or t is not None):
-        size = int(m.group(1)) if m.group(1) else t
+    if m := re.fullmatch(r"STS:([0-9]+)", name):
         from .constructions import steiner
 
-        return f"STS:{size}", steiner(size)
+        return f"STS:{int(m.group(1))}", steiner(int(m.group(1)))
     raise ValueError(f"unknown pattern {name!r}")
 
 
-def pattern(name: str, t: Optional[int] = None) -> Pattern:
-    """Catalog lookup: K<t>, K<t>-, C<t> (tight), Fano, F32, STS:<t>.
-
-    Accepts either a fully spelled name (``pattern("K4-")``) or a family name
-    plus size (``pattern("K-", 4)``).
-    """
-    return _catalog_pattern(*_catalog_graph(name, t))
+def pattern(name: str) -> Pattern:
+    """Catalog lookup by the name ``Pattern.name`` reports: K<t>, K<t>-, C<t>, Fano, F32, STS:<t>."""
+    return _catalog_pattern(*_catalog_graph(name))
 
 
 def pattern_from_graph(name: str, graph: Hypergraph3) -> Pattern:

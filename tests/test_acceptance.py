@@ -11,8 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from h3cover import (
+    Hypergraph3,
     blow_up,
-    build,
     c2_bounds,
     c2_exact,
     classify_sy,
@@ -150,7 +150,7 @@ def test_criterion_4_sy_lemma_fully_certified():
         subset = frozenset(s for i, s in enumerate(PAIR_SLOTS) if bits >> i & 1)
         triples = [(a, b, x), (b, c, x), (a, c, x)]
         triples += [slot_pairs[s] + (y,) for s in subset]
-        host = build(5, triples)
+        host = Hypergraph3.from_triples(5, triples)
         cls = classify_sy(host, (a, b, c, x), y)
         covered = embed_covering(host, x, k4) is not None
         if (cls.label == "VIOLATION") != covered:
@@ -184,7 +184,7 @@ def test_criterion_6_greedy_embedding_guarantee():
     for name in CATALOG:
         pat = pattern(name)
         for n in range(pat.f, 13):
-            host = build(n, combinations(range(n), 3))
+            host = Hypergraph3.from_triples(n, combinations(range(n), 3))
             for x in range(n):
                 if greedy_embed(host, x, pat) is None:
                     failures.append(f"greedy failed on K_{n} for {name} at x={x}")

@@ -9,7 +9,6 @@ from math import comb
 
 from h3cover import (
     Hypergraph3,
-    build,
     c2_bounds,
     c2_exact,
     classify_sy,
@@ -107,7 +106,7 @@ def _sy_host(subset):
     }
     triples = [(a, b, x), (b, c, x), (a, c, x)]
     triples += [slot_pairs[s] + (y,) for s in subset]
-    return build(5, triples)
+    return Hypergraph3.from_triples(5, triples)
 
 
 def test_classify_sy_named_sets():
@@ -135,8 +134,8 @@ def test_classify_sy_preconditions():
     with pytest.raises(ValueError):
         classify_sy(host, (0, 1, 2, 3), 3)  # y inside S
     with pytest.raises(ValueError):
-        classify_sy(build(5, [(0, 1, 3)]), (0, 1, 2, 3), 4)  # base edges missing
-    bad = build(5, [(0, 1, 3), (1, 2, 3), (0, 2, 3), (0, 1, 2)])
+        classify_sy(Hypergraph3.from_triples(5, [(0, 1, 3)]), (0, 1, 2, 3), 4)  # base edges missing
+    bad = Hypergraph3.from_triples(5, [(0, 1, 3), (1, 2, 3), (0, 2, 3), (0, 1, 2)])
     with pytest.raises(ValueError):
         classify_sy(bad, (0, 1, 2, 3), 4)  # abc present
 
@@ -294,7 +293,7 @@ def test_c2_exact_rejects_negative_budget(budget):
 COPY_PATTERNS = pytest.mark.parametrize(
     "pat",
     [pattern(name) for name in ("K4", "K4-", "C5", "C6", "C7", "F32", "Fano")]
-    + [pattern_from_graph("K4+1", build(5, combinations(range(4), 3)))],
+    + [pattern_from_graph("K4+1", Hypergraph3.from_triples(5, combinations(range(4), 3)))],
     ids=lambda pat: pat.name,
 )
 
@@ -373,17 +372,17 @@ def test_recover_variant_counts_pair_deletions():
 
 
 def test_recover_complete_host_is_absent():
-    k6 = build(6, combinations(range(6), 3))
+    k6 = Hypergraph3.from_triples(6, combinations(range(6), 3))
     assert recover_partition(k6, 0) is None
 
 
 def test_recover_no_triangle_is_absent():
-    assert recover_partition(build(5, [(0, 1, 2)]), 3) is None
+    assert recover_partition(Hypergraph3.from_triples(5, [(0, 1, 2)]), 3) is None
 
 
 def test_recover_apex_range_checked():
     with pytest.raises(ValueError):
-        recover_partition(build(5, [(0, 1, 2)]), 9)
+        recover_partition(Hypergraph3.from_triples(5, [(0, 1, 2)]), 9)
 
 
 def test_recover_guarantee_flag():
@@ -410,7 +409,7 @@ def test_verify_fails_on_tamper():
     g, claims = f1(12)
     parts = claims.partition.parts
     extra = (parts[0][0], parts[1][0], parts[2][0])
-    tampered = build(g.n, list(g.edges()) + [extra])
+    tampered = Hypergraph3.from_triples(g.n, list(g.edges()) + [extra])
     report = verify_construction(tampered, claims, pattern("K4"))
     assert not report.ok
     failed = {c.name for c in report.checks if not c.passed}

@@ -46,9 +46,7 @@ def test_verify_detects_tampering(tmp_path, capsys):
     claims = json.loads((tmp_path / "g.claims.json").read_text())
     parts = claims["partition"]["parts"]
     extra = (parts[0][0], parts[1][0], parts[2][0])
-    from h3cover import build
-
-    tampered = build(g.n, list(g.edges()) + [extra])
+    tampered = Hypergraph3.from_triples(g.n, list(g.edges()) + [extra])
     out.write_text(dumps_h3(tampered))
     code, stdout, _ = run(capsys, "verify", "--in", str(out), "--pattern", "K4")
     assert code == 3
@@ -93,6 +91,21 @@ def test_construct_without_size_option_exits_2(tmp_path, capsys, name):
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "g.h3").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["construct", "f1e", "--n", "11", "--case", "2p", "-o"], "h3cover: error: unrecognized arguments: --case 2p"),
+    (["cover", "--pattern", "STS9", "--in"], "error: unknown pattern 'STS9'"),
+])
+def test_removed_spellings_exit_2(tmp_path, capsys, argv, error):
+    # f1e's case is n mod 3 (case 2p is construct f1p), and an STS pattern names its size after a colon
+    path = tmp_path / "g.h3"
+    write_h3(pattern("K4-").graph, path)
+    code, stdout, err = _outcome(capsys, lambda: main([*argv, str(path)]))
+    assert code in (2, ("exit", 2)) and stdout == "" and "Traceback" not in err
+    # argparse puts its usage line before the error line
+    assert err.splitlines()[-1] == error and err.count("error: ") == 1
+    assert load_h3(path) == pattern("K4-").graph
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

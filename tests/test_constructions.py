@@ -10,7 +10,6 @@ from h3cover import (
     AdmissiblePairSet,
     Hypergraph3,
     blow_up,
-    build,
     embed_covering,
     f1,
     f1_variant,
@@ -248,7 +247,7 @@ def test_blow_up_k4_minus():
 
 
 def test_blow_up_single_triple_unit():
-    h = build(3, [(0, 1, 2)])
+    h = Hypergraph3.from_triples(3, [(0, 1, 2)])
     g, claims = blow_up(h, 1)
     assert g.n == 4
     assert g.min_codegree() == 2 == claims.min_codegree
@@ -283,9 +282,9 @@ def test_blow_up_hint_of_a_large_base_is_quick():
 
 def test_blow_up_rejects_bad_input():
     with pytest.raises(ValueError):
-        blow_up(build(3, [(0, 1, 2)]), 0)
+        blow_up(Hypergraph3.from_triples(3, [(0, 1, 2)]), 0)
     with pytest.raises(ValueError):
-        blow_up(build(5, []), 2)
+        blow_up(Hypergraph3.from_triples(5, []), 2)
 
 
 # -- claims plumbing --------------------------------------------------------------

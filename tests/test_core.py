@@ -13,17 +13,14 @@ from math import comb
 from h3cover import (
     Hypergraph3,
     admissible_sample,
-    build,
     dumps_h3,
     f1,
     f1_variant,
     f3,
     load_h3,
     loads_h3,
-    pair_rank,
     steiner,
     triple_rank,
-    triple_unrank,
     write_h3,
 )
 from h3cover import core
@@ -32,7 +29,7 @@ import oracles
 
 
 def k4():
-    return build(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    return Hypergraph3.from_triples(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
 # -- ranks -------------------------------------------------------------------
@@ -49,7 +46,7 @@ def test_colex_rank_basics():
 
 @given(st.integers(min_value=0, max_value=comb(12, 3) - 1))
 def test_rank_unrank_roundtrip(r):
-    a, b, c = triple_unrank(r)
+    a, b, c = core.triple_table(12)[r].tolist()
     assert a < b < c
     assert triple_rank(a, b, c) == r
 
@@ -59,22 +56,22 @@ def test_rank_unrank_roundtrip(r):
         lambda bc: st.tuples(st.integers(0, bc[0]), st.just(bc[0] + 1), st.just(bc[1])))))
 def test_unrank_large_triples(t):
     a, b, c = t
-    assert triple_unrank(triple_rank(a, b, c)) == (a, b, c)
+    assert core._unrank(c + 1, np.array([triple_rank(a, b, c)])).tolist() == [[a, b, c]]
 
 
 def test_unrank_block_boundaries():
     # the first and last rank with each largest vertex c
-    for c in range(2, 3000):
-        assert triple_unrank(comb(c, 3)) == (0, 1, c)
-        assert triple_unrank(comb(c + 1, 3) - 1) == (c - 2, c - 1, c)
+    c = np.arange(2, 3000)
+    first = core._unrank(3000, c * (c - 1) * (c - 2) // 6)
+    last = core._unrank(3000, (c + 1) * c * (c - 1) // 6 - 1)
+    assert first.tolist() == [[0, 1, v] for v in c.tolist()]
+    assert last.tolist() == [[v - 2, v - 1, v] for v in c.tolist()]
 
 
 def test_ranks_enumerate_all_triples():
     n = 7
     ranks = sorted(triple_rank(*t) for t in combinations(range(n), 3))
     assert ranks == list(range(comb(n, 3)))
-    pranks = sorted(pair_rank(u, v) for u, v in combinations(range(n), 2))
-    assert pranks == list(range(comb(n, 2)))
 
 
 @given(st.lists(st.integers(0, 20_000), max_size=200))
@@ -83,7 +80,7 @@ def test_bitmap_sets_exactly_the_given_ranks(ranks):
     assert core._bitmap(np.array(ranks, dtype=np.int64)) == sum(1 << r for r in set(ranks))
 
 
-# -- build -------------------------------------------------------------------
+# -- from_triples --------------------------------------------------------------
 
 
 def test_build_complete_graph():
@@ -93,22 +90,22 @@ def test_build_complete_graph():
 
 
 def test_build_empty():
-    g = build(4, [])
+    g = Hypergraph3.from_triples(4, [])
     assert g.num_edges == 0
     assert g.min_codegree() == 0
 
 
 def test_build_rejects_malformed():
     with pytest.raises(ValueError):
-        build(3, [(0, 1, 1)])
+        Hypergraph3.from_triples(3, [(0, 1, 1)])
     with pytest.raises(ValueError):
-        build(3, [(0, 1, 3)])
+        Hypergraph3.from_triples(3, [(0, 1, 3)])
     with pytest.raises(ValueError):
-        build(3, [(0, 1)])
+        Hypergraph3.from_triples(3, [(0, 1)])
 
 
 def test_build_deduplicates():
-    g = build(4, [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
+    g = Hypergraph3.from_triples(4, [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
     assert g.num_edges == 1
 
 
@@ -132,7 +129,7 @@ def test_codegree_f1_11():
 
 
 def test_codegree_empty_graph():
-    g = build(5, [])
+    g = Hypergraph3.from_triples(5, [])
     assert g.codegree(0, 4) == 0
 
 
@@ -311,8 +308,21 @@ def test_loaded_graph_is_never_decoded(monkeypatch):
         assert np.array_equal(loaded.edge_array(), edges) and loaded.pair_masks() == masks
 
 
+# numbers int() reads but that are not ASCII digits: signs, '_', a 0x prefix, non-ASCII digits;
+# and headers split at a non-ASCII space
+_BAD_NUMERALS = ["+4 0", "1_0 0", "\u0664 0", "4 -0", "n: 0_4",
+                 "n: 4\n0x1", "n: 4\n0X3", "n: 4\n+f", "n: 4\n-0", "n: 4\n\u0663",
+                 "4\xa01\n0 1 2\n", "n:\u20034\n1\n"]
+
+
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # the warnings filter a CLI run has
-def test_loads_rejects_bad_input():
+def test_loads_rejects_bad_input(tmp_path):
+    for text in _BAD_NUMERALS:
+        with pytest.raises(ValueError):
+            loads_h3(text)
+        (tmp_path / "g.h3").write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_h3(tmp_path / "g.h3")
     with pytest.raises(ValueError):
         loads_h3("")
     with pytest.raises(ValueError):
@@ -333,10 +343,10 @@ def test_loads_rejects_bad_input():
 def test_loads_rejects_duplicate_edge_lines():
     with pytest.raises(ValueError, match="0 1 2 is listed twice"):
         loads_h3("12 2\n0 1 2\n0 1 2\n")
-    with pytest.raises(ValueError, match="listed twice"):
+    with pytest.raises(ValueError, match="0 1 2 is listed twice"):
         loads_h3("5 3\n0 1 2\n1 3 4\n2 0 1\n")  # the same triple in another order
-    # build() and from_triples keep deduplicating
-    assert build(12, [(0, 1, 2), (0, 1, 2)]).num_edges == 1
+    # from_triples keeps deduplicating
+    assert Hypergraph3.from_triples(12, [(0, 1, 2), (0, 1, 2)]).num_edges == 1
 
 
 def test_loads_blank_and_commented_lines():
@@ -414,11 +424,11 @@ def test_decoded_views_match_oracles(g):
     triples = oracles.triples_of(g)
     assert list(g.edges()) == triples
     assert g.edge_array().tolist() == [list(t) for t in triples]
-    edge_set = set(triples)
+    edge_set, ranked = set(triples), core.triple_table(g.n)
     for t in combinations(range(g.n), 3):
         assert g.contains(*t) == (t in edge_set)
         assert g.contains(t[2], t[0], t[1]) == (t in edge_set)
-        assert triple_unrank(triple_rank(*t)) == t
+        assert tuple(ranked[triple_rank(*t)].tolist()) == t
     for u, v in combinations(range(g.n), 2):
         common = [w for w in range(g.n) if w not in (u, v) and tuple(sorted((u, v, w))) in edge_set]
         mask = g.pair_mask(u, v)
@@ -436,7 +446,7 @@ def test_decoded_views_match_oracles(g):
     for x in range(g.n):
         assert g.degree(x) == oracles.degree(g, x)
         link = [tuple(w for w in t if w != x) for t in triples if x in t]
-        link.sort(key=lambda p: pair_rank(*p))
+        link.sort(key=lambda p: (p[1], p[0]))
         lk = g.link_graph(x)
         assert list(lk.pairs()) == link
         assert g.degree(x) == len(link)
@@ -562,6 +572,7 @@ _FILE_CASES = [
     "4 2\n0 1 2\n1 2\n", "4 2\n0 1 2\n0 1 2\n", "4 1\n0 1 x\n", "4 1\n0 1 4\n", "4 3\n0 1 2\n",
     "4 1\n0 1 2 # \x00\n\x00\n", "4 1\n0 1 99999\n", "# 1 2\n\n",
     "n: 4\n3\n", "n: 4\n", "", "  \n",
+    *(text for text in _BAD_NUMERALS if text.isascii()),
 ]
 
 

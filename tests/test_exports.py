@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import h3cover
@@ -17,3 +18,10 @@ def test_every_public_name_resolves():
             stale += [f"h3cover.{a.name}" for a in node.names
                       if a.name not in module.__all__ or getattr(h3cover, a.name) is not getattr(module, a.name)]
     assert stale == []
+
+
+def test_readme_library_tour_runs():
+    # the tour calls the public names by hand; one removed or renamed fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (tour,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(tour, "README.md", "exec"), {})

@@ -24,7 +24,6 @@ BASES = {"K4-": lambda: pattern("K4-").graph, "C5": lambda: pattern("C5").graph,
 CASES = (
     [[name, "--n", str(n)] for name in ("f1", "f2", "f3", "f4", "fano2", "f32tri") for n in (7, 11, 16, 30)]
     + [["f1e", "--n", str(n), "--seed", str(s)] for n in (10, 11, 12, 30) for s in (0, 1, 7)]
-    + [["f1e", "--n", str(n), "--case", "2p", "--seed", str(s)] for n in (11, 14) for s in (0, 1)]
     + [["f1p", "--n", str(n), "--seed", str(s)] for n in (11, 14, 29) for s in (0, 1, 7)]
     + [["blowup", "--base", base, "--factor", str(k)] for base in BASES for k in (1, 2, 3)]
     + [["sts", "--t", str(t)] for t in (7, 9, 13, 15)]

@@ -9,7 +9,6 @@ from math import comb
 
 from h3cover import (
     Hypergraph3,
-    build,
     degeneracy,
     embed_covering,
     f1,
@@ -32,33 +31,37 @@ import oracles
 
 
 def complete(n):
-    return build(n, combinations(range(n), 3))
+    return Hypergraph3.from_triples(n, combinations(range(n), 3))
 
 
 # -- catalog ------------------------------------------------------------------
 
 
 def test_catalog_parameters():
-    assert (pattern("K", 4).f, pattern("K", 4).r) == (4, 3)
+    assert (pattern("K4").f, pattern("K4").r) == (4, 3)
     assert (pattern("Fano").f, pattern("Fano").r) == (7, 3)
-    assert (pattern("K-", 4).f, pattern("K-", 4).r) == (4, 2)
+    assert (pattern("K4-").f, pattern("K4-").r) == (4, 2)
     assert pattern("K5").r == 6
     assert pattern("C5").r == 3
     assert pattern("F32").f == 5
-    assert pattern("K4-") is pattern("K-", 4)
+    assert pattern("K4-") is pattern("K4-")
 
 
 def test_catalog_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        pattern("K", 3)
-    with pytest.raises(ValueError):
-        pattern("C", 4)
-    with pytest.raises(ValueError):
-        pattern("Q7")
+    with pytest.raises(ValueError, match="complete patterns need t >= 4"):
+        pattern("K3")
+    with pytest.raises(ValueError, match="tight cycles need t >= 5"):
+        pattern("C4")
+    with pytest.raises(ValueError, match="no Steiner triple system on 8 vertices"):
+        pattern("STS:8")
+    # a family needs its size in ASCII digits, STS after a colon
+    for name in ("Q7", "K", "K-", "C", "STS9", "K\u0664", "C\u0665", "STS:\u0669"):
+        with pytest.raises(ValueError, match=f"unknown pattern '{name}'"):
+            pattern(name)
 
 
 def test_sts_pattern():
-    p = pattern("STS", 9)
+    p = pattern("STS:9")
     assert p.name == "STS:9"
     assert p.f == 9
     assert p.graph == steiner(9)
@@ -90,9 +93,9 @@ def _catalog_edges(name):
             *(f"C{t}" for t in range(5, 9))}),
 )
 def test_catalog_bitmaps_match_build(name):
-    # the catalog computes its bitmaps from scalar ranks; build ranks the edge list in numpy
+    # the catalog computes its bitmaps from scalar ranks; from_triples ranks the edge list in numpy
     size, edges = _catalog_edges(name)
-    assert pattern(name).graph.bits == build(size, edges).bits
+    assert pattern(name).graph.bits == Hypergraph3.from_triples(size, edges).bits
     assert pattern(name).graph.n == size
 
 
@@ -100,7 +103,7 @@ def test_catalog_bitmaps_match_build(name):
 
 
 def test_degeneracy_single_edge():
-    r, order = degeneracy(build(3, [(0, 1, 2)]))
+    r, order = degeneracy(Hypergraph3.from_triples(3, [(0, 1, 2)]))
     assert r == 1
     assert sorted(order) == [0, 1, 2]
 
@@ -115,7 +118,7 @@ def test_degeneracy_k5():
 
 def test_degeneracy_rejects_empty():
     with pytest.raises(ValueError):
-        degeneracy(build(4, []))
+        degeneracy(Hypergraph3.from_triples(4, []))
 
 
 def test_degeneracy_matches_subgraph_oracle():
@@ -182,7 +185,7 @@ def test_catalog_symmetry_data_matches_brute_force(name):
 @example((6, {(0, 1, 2)}))
 def test_drawn_pattern_symmetry_matches_brute_force(spec):
     n, edges = spec
-    assert_symmetry_data(pattern_from_graph("drawn", build(n, edges)))
+    assert_symmetry_data(pattern_from_graph("drawn", Hypergraph3.from_triples(n, edges)))
 
 
 def test_embeddings_match_recorded_golden():
@@ -240,7 +243,7 @@ def _drawn_hosts():
         for parts in (2, 3, 3):
             label = sorted(rng.randrange(parts) for _ in range(n))
             allowed = {t for t in combinations_with_replacement(range(parts), 3) if rng.random() < 0.6}
-            hosts.append(build(n, oracles.labelled_triples(label, allowed.__contains__)))
+            hosts.append(Hypergraph3.from_triples(n, oracles.labelled_triples(label, allowed.__contains__)))
     return hosts
 
 
@@ -407,7 +410,7 @@ def test_greedy_succeeds_above_codegree_bound():
     bound = greedy_cover_bound(pat, n)
     while g.min_codegree() <= bound:
         edges.add(missing.pop())
-        g = build(n, edges)
+        g = Hypergraph3.from_triples(n, edges)
     for x in range(n):
         emb = greedy_embed(g, x, pat)
         assert emb is not None
@@ -445,7 +448,7 @@ def test_uncovered_searches_only_through_uncredited_vertices(monkeypatch):
     # vertices are twins and only crediting skips searches.  The copy found through 0
     # covers 0..3; each later copy covers its own vertex and 0, 1, 2
     removed = {(0, 3, 4), (1, 3, 4), (1, 3, 5), (1, 6, 7), (3, 4, 5), (3, 4, 6)}
-    host = build(8, [t for t in combinations(range(8), 3) if t not in removed])
+    host = Hypergraph3.from_triples(8, [t for t in combinations(range(8), 3) if t not in removed])
     assert host.twin_classes() == {}
     searched = []
     search = patterns.embed_covering
