@@ -342,6 +342,8 @@ def c2_exact(pat: Pattern, n: int, budget_seconds: Optional[float] = None) -> Se
 
 # -- partition recovery -------------------------------------------------------
 
+# the stability slack delta of the paper's n > 998 configurations: a recovered partition's
+# guarantee applies when the minimum codegree is at least (2/3 - delta) n
 DEFAULT_SLACK = Fraction(1, 429)
 
 
@@ -361,13 +363,10 @@ class RecoveredPartition(NamedTuple):
     seed_triangle: tuple[int, int, int]
     bucket_sizes: tuple[int, int, int]
     diagnostics: PartitionDiagnostics
-    slack: Fraction
     guarantee_applies: bool
 
 
-def recover_partition(
-    g: Hypergraph3, x: int, slack: Fraction = DEFAULT_SLACK
-) -> Optional[RecoveredPartition]:
+def recover_partition(g: Hypergraph3, x: int) -> Optional[RecoveredPartition]:
     """Recover a planted apex tripartition from the link structure at x.
 
     Takes the lexicographically first triangle {ab, bc, ac} in the link of x,
@@ -375,13 +374,10 @@ def recover_partition(
     configurations, then reads off the parts as the vertices whose joint
     neighbourhood with x avoids one bucket.  Returns None when no triangle
     exists or the three candidate sets fail to partition the non-apex
-    vertices.  Diagnostics are measured, not assumed.  A negative slack is
-    a ValueError.
+    vertices.  Diagnostics are measured, not assumed.
     """
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
-    if slack < 0:
-        raise ValueError(f"slack must be >= 0, got {slack}")
     tri = g.link_graph(x).first_triangle()
     if tri is None:
         return None
@@ -405,15 +401,12 @@ def recover_partition(
         parts[hits[0]].append(y)
     part_tuple = tuple(tuple(p) for p in parts)
     diagnostics = _measure_partition(g, x, part_tuple)
-    dmin = Fraction(g.min_codegree())
-    guarantee = slack <= DEFAULT_SLACK and dmin >= (Fraction(2, 3) - slack) * g.n
     return RecoveredPartition(
         partition=Tripartition(apex=x, parts=part_tuple),
         seed_triangle=(a, b, c),
         bucket_sizes=tuple(bucket.bit_count() for bucket in buckets),
         diagnostics=diagnostics,
-        slack=slack,
-        guarantee_applies=guarantee,
+        guarantee_applies=g.min_codegree() >= (Fraction(2, 3) - DEFAULT_SLACK) * g.n,
     )
 
 

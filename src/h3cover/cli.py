@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .analysis import c2_bounds, c2_exact, recover_partition, verify_construction
+from .analysis import DEFAULT_SLACK, c2_bounds, c2_exact, recover_partition, verify_construction
 from .constructions import (
     ConstructionClaims,
     admissible_sample,
@@ -31,7 +30,7 @@ from .constructions import (
     fano_bipartite,
     sts,
 )
-from .core import load_h3, write_h3
+from .core import _count, load_h3, write_h3
 from .patterns import pattern, uncovered_vertices
 
 SCHEMA = 1
@@ -66,7 +65,7 @@ CONSTRUCTIONS = {
     "f2": ("n", lambda args: f2(args.n)),
     "f3": ("n", lambda args: f3(args.n)),
     "f4": ("n", lambda args: f4(args.n)),
-    "sts": ("t", lambda args: sts(args.t)),
+    "sts": ("n", lambda args: sts(args.n)),
     "blowup": ("base", lambda args: blow_up(load_h3(args.base), args.factor)),
     "fano2": ("n", lambda args: fano_bipartite(args.n)),
     "f32tri": ("n", lambda args: f32_tripartite(args.n)),
@@ -153,7 +152,7 @@ def cmd_search(args) -> int:
 def cmd_bounds(args) -> int:
     pat = pattern(args.pattern)
     lo_s, sep, hi_s = args.n.partition("..")
-    lo, hi = int(lo_s), int(hi_s if sep else lo_s)
+    lo, hi = _count(lo_s), _count(hi_s if sep else lo_s)
     if lo > hi:
         raise ValueError(f"empty range {args.n!r}: the first n exceeds the last")
     rows = [{"n": n, **c2_bounds(pat, n)._asdict()} for n in range(lo, hi + 1)]
@@ -165,12 +164,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    try:
-        delta = Fraction(args.delta)
-    except ZeroDivisionError:
-        raise ValueError(f"--delta {args.delta!r} has a zero denominator") from None
     g = load_h3(args.input)
-    rec = recover_partition(g, args.apex, delta)
+    rec = recover_partition(g, args.apex)
     payload = {"input": str(args.input), "apex": args.apex, "found": rec is not None}
     if rec is None:
         _emit(args, payload, ["no partition recovered"])
@@ -188,7 +183,7 @@ def cmd_recover(args) -> int:
         },
         "sizes": list(d.sizes),
         "max_size_deviation": str(d.max_size_deviation),
-        "delta": str(rec.slack),
+        "delta": str(DEFAULT_SLACK),
         "guarantee_applies": rec.guarantee_applies,
     }
     lines = [
@@ -203,11 +198,10 @@ def cmd_recover(args) -> int:
 _COMMANDS = {
     "construct": ("generate a construction plus its claims sidecar", cmd_construct, (
         (("name",), dict(choices=CONSTRUCTIONS)),
-        (("--n",), dict(type=int, default=None)),
-        (("--t",), dict(type=int, default=None, help="vertex count for sts")),
-        (("--seed",), dict(type=int, default=0)),
+        (("--n",), dict(type=_count, default=None)),
+        (("--seed",), dict(type=_count, default=0)),
         (("--base",), dict(default=None, help=".h3 file with the base graph for blowup")),
-        (("--factor",), dict(type=int, default=2, help="part size for blowup")),
+        (("--factor",), dict(type=_count, default=2, help="part size for blowup")),
         (("-o", "--output"), dict(default=None)),
         (("--fmt",), dict(choices=("text", "hex"), default="text")))),
     "verify": ("re-measure a claims sidecar against its graph", cmd_verify, (
@@ -219,15 +213,14 @@ _COMMANDS = {
         (("--pattern",), dict(required=True)))),
     "search": ("exact threshold by exhaustion at tiny n", cmd_search, (
         (("--pattern",), dict(required=True)),
-        (("--n",), dict(type=int, required=True)),
+        (("--n",), dict(type=_count, required=True)),
         (("--budget-seconds",), dict(type=float, default=None)))),
     "bounds": ("closed-form bracket table over a range of n", cmd_bounds, (
         (("--pattern",), dict(required=True)),
         (("--n",), dict(required=True, help="single value or range like 7..18")))),
     "recover": ("recover an apex tripartition and measure violations", cmd_recover, (
         (("--in",), dict(dest="input", required=True)),
-        (("--apex",), dict(type=int, required=True)),
-        (("--delta",), dict(default="1/429")))),
+        (("--apex",), dict(type=_count, required=True)))),
 }
 
 

@@ -384,6 +384,14 @@ def _only(text: str, chars: bytes, what: str) -> str:
     return text
 
 
+def _count(text: str) -> int:
+    """A count given from outside the program: ASCII decimal digits, leading zeros read by value."""
+    return int(_only(text, _DIGITS, "a count holds only ASCII decimal digits"))
+
+
+_count.__name__ = "count"  # argparse names the type of an option value it refuses by __name__
+
+
 def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
     if "#" in text:
         text = re.sub(r"#[^\n]*", "", text)

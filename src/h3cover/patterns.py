@@ -106,34 +106,35 @@ def degeneracy(g: Hypergraph3) -> tuple[int, tuple[int, ...]]:
     return r, tuple(reversed(order_rev))
 
 
-def _catalog_graph(name: str) -> tuple[str, Hypergraph3]:
+def _catalog_graph(name: str) -> Hypergraph3:
+    # a size is ASCII digits without a leading zero, so each graph has one name;
     # a handful of scalar ranks costs less than the numpy passes of from_triples
-    if m := re.fullmatch(r"K([0-9]+)(-?)", name):
+    if m := re.fullmatch(r"K([1-9][0-9]*)(-?)", name):
         size, minus = int(m.group(1)), m.group(2) == "-"
         if size < 4:
             raise ValueError("complete patterns need t >= 4")
         # K_t has every rank below C(t, 3); K_t- drops the last, that of (t - 3, t - 2, t - 1)
-        return f"K{size}{m.group(2)}", Hypergraph3(size, (1 << comb(size, 3) - minus) - 1)
-    if m := re.fullmatch(r"C([0-9]+)", name):
+        return Hypergraph3(size, (1 << comb(size, 3) - minus) - 1)
+    if m := re.fullmatch(r"C([1-9][0-9]*)", name):
         size = int(m.group(1))
         if size < 5:
             raise ValueError("tight cycles need t >= 5")
         edges = ((i, (i + 1) % size, (i + 2) % size) for i in range(size))
-        return f"C{size}", Hypergraph3(size, sum(1 << triple_rank(*e) for e in edges))
+        return Hypergraph3(size, sum(1 << triple_rank(*e) for e in edges))
     if name == "Fano":
-        return "Fano", Hypergraph3(7, sum(1 << triple_rank(*e) for e in _FANO_LINES))
+        return Hypergraph3(7, sum(1 << triple_rank(*e) for e in _FANO_LINES))
     if name == "F32":
-        return "F32", Hypergraph3(5, sum(1 << triple_rank(*e) for e in _F32_EDGES))
-    if m := re.fullmatch(r"STS:([0-9]+)", name):
+        return Hypergraph3(5, sum(1 << triple_rank(*e) for e in _F32_EDGES))
+    if m := re.fullmatch(r"STS:([1-9][0-9]*)", name):
         from .constructions import steiner
 
-        return f"STS:{int(m.group(1))}", steiner(int(m.group(1)))
+        return steiner(int(m.group(1)))
     raise ValueError(f"unknown pattern {name!r}")
 
 
 def pattern(name: str) -> Pattern:
     """Catalog lookup by the name ``Pattern.name`` reports: K<t>, K<t>-, C<t>, Fano, F32, STS:<t>."""
-    return _catalog_pattern(*_catalog_graph(name))
+    return _catalog_pattern(name, _catalog_graph(name))
 
 
 def pattern_from_graph(name: str, graph: Hypergraph3) -> Pattern:

@@ -5,7 +5,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 
 from h3cover import (
     Hypergraph3,
@@ -385,13 +385,16 @@ def test_recover_apex_range_checked():
         recover_partition(Hypergraph3.from_triples(5, [(0, 1, 2)]), 9)
 
 
-def test_recover_guarantee_flag():
+def test_recover_guarantee_flag(monkeypatch):
     g, claims = f1(30)
     rec = recover_partition(g, claims.partition.apex)
     # delta_2 = 18 sits just under (2/3 - 1/429) * 30, so no formal guarantee
     assert not rec.guarantee_applies
-    loose = recover_partition(g, claims.partition.apex, slack=Fraction(1, 10))
-    assert not loose.guarantee_applies  # slack above the admissible range
+    # the guarantee needs delta_2 >= (2/3 - 1/429) * 30, whose ceiling is 20
+    bound = ceil((Fraction(2, 3) - Fraction(1, 429)) * 30)
+    for dmin, applies in ((bound, True), (bound - 1, False)):
+        monkeypatch.setattr(Hypergraph3, "min_codegree", lambda self: dmin)
+        assert recover_partition(g, claims.partition.apex).guarantee_applies is applies
 
 
 # -- verify_construction ----------------------------------------------------------------

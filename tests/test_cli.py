@@ -59,7 +59,8 @@ def test_every_construction_verifies_against_its_hint(tmp_path, capsys, name):
     base = tmp_path / "base.h3"
     write_h3(pattern("K4-").graph, base)
     option = CONSTRUCTIONS[name][0]
-    size = {"n": "11", "t": "7", "base": str(base)}[option]
+    # sts needs n === 1 or 3 mod 6
+    size = {"n": "7" if name == "sts" else "11", "base": str(base)}[option]
     out = tmp_path / "g.h3"
     code, stdout, _ = run(capsys, "construct", name, f"--{option}", size, "-o", str(out))
     assert code == 0
@@ -69,7 +70,7 @@ def test_every_construction_verifies_against_its_hint(tmp_path, capsys, name):
 
 
 def test_construct_sts_infeasible_exits_2(tmp_path, capsys):
-    code, _, err = run(capsys, "construct", "sts", "--t", "8", "-o", str(tmp_path / "s.h3"))
+    code, _, err = run(capsys, "construct", "sts", "--n", "8", "-o", str(tmp_path / "s.h3"))
     assert code == 2
     assert "1,3 mod 6" in err
 
@@ -96,9 +97,12 @@ def test_construct_without_size_option_exits_2(tmp_path, capsys, name):
 @pytest.mark.parametrize("argv, error", [
     (["construct", "f1e", "--n", "11", "--case", "2p", "-o"], "h3cover: error: unrecognized arguments: --case 2p"),
     (["cover", "--pattern", "STS9", "--in"], "error: unknown pattern 'STS9'"),
+    (["construct", "sts", "--t", "9", "-o"], "h3cover: error: unrecognized arguments: --t 9"),
+    (["recover", "--delta", "1/429", "--apex", "0", "--in"], "h3cover: error: unrecognized arguments: --delta 1/429"),
 ])
 def test_removed_spellings_exit_2(tmp_path, capsys, argv, error):
-    # f1e's case is n mod 3 (case 2p is construct f1p), and an STS pattern names its size after a colon
+    # f1e's case is n mod 3 (case 2p is construct f1p), an STS pattern names its size after a colon,
+    # sts is sized by --n like every family, and recover checks the one slack 1/429
     path = tmp_path / "g.h3"
     write_h3(pattern("K4-").graph, path)
     code, stdout, err = _outcome(capsys, lambda: main([*argv, str(path)]))
@@ -194,22 +198,32 @@ def test_bounds_empty_range_exits_2(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_recover_zero_denominator_delta_exits_2(tmp_path, capsys):
-    out = tmp_path / "f1_9.h3"
-    run(capsys, "construct", "f1", "--n", "9", "-o", str(out))
-    code, stdout, err = run(capsys, "recover", "--in", str(out), "--apex", "8", "--delta", "1/0")
-    assert code == 2
-    assert stdout == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+# every integer option, and both ends of the bounds range; {} is the value under test
+COUNT_OPTIONS = [
+    ["construct", "f1", "--n", "{}"],
+    ["construct", "f1e", "--n", "9", "--seed", "{}"],
+    ["construct", "blowup", "--base", "base.h3", "--factor", "{}"],
+    ["search", "--pattern", "K4", "--n", "{}"],
+    ["recover", "--in", "base.h3", "--apex", "{}"],
+    ["bounds", "--pattern", "K4", "--n", "{}"],
+    ["bounds", "--pattern", "K4", "--n", "{}..9"],
+    ["bounds", "--pattern", "K4", "--n", "5..{}"],
+]
 
 
-def test_recover_negative_delta_exits_2(tmp_path, capsys):
-    out = tmp_path / "f1_9.h3"
-    run(capsys, "construct", "f1", "--n", "9", "-o", str(out))
-    code, stdout, err = run(capsys, "recover", "--in", str(out), "--apex", "8", "--delta", "-1")
-    assert code == 2
-    assert stdout == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+@pytest.mark.parametrize("value", ["\u0665", "+5", "1_0", "-1"])
+@pytest.mark.parametrize("argv", COUNT_OPTIONS, ids=" ".join)
+def test_count_options_take_only_ascii_digits(tmp_path, capsys, monkeypatch, argv, value):
+    # int() would read each of these values: a sign, '_' and a non-ASCII digit
+    monkeypatch.chdir(tmp_path)
+    write_h3(pattern("K4-").graph, "base.h3")
+    argv = [a.replace("{}", value) for a in argv]
+    if argv[0] == "construct":
+        argv += ["-o", "g.h3"]
+    code, stdout, err = _outcome(capsys, lambda: main(argv))
+    assert code in (2, ("exit", 2)) and stdout == "" and "Traceback" not in err
+    assert "error: " in err.splitlines()[-1] and err.count("error: ") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base.h3"]
 
 
 @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 9.92 GiB")])
@@ -229,19 +243,15 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-# a size far beyond memory for each sizing option (sts needs t === 1 or 3 mod 6)
-OVERSIZE = {"n": "100000000", "t": "99999999"}
-
-
-@pytest.mark.parametrize("name", [name for name, (size, _) in CONSTRUCTIONS.items() if size in OVERSIZE])
+@pytest.mark.parametrize("name", [name for name, (size, _) in CONSTRUCTIONS.items() if size == "n"])
 def test_construct_oversize_n_exits_2_at_once(tmp_path, name):
     # a child process capped at 1 GiB of address space, so a program that starts
     # O(n) work cannot exhaust the machine running the suite
     env = {**os.environ, "PYTHONPATH": str(Path(h3cover.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
-    size = CONSTRUCTIONS[name][0]
+    # a size far beyond memory (sts needs n === 1 or 3 mod 6, or it is refused before any allocation)
+    size = "99999999" if name == "sts" else "100000000"
     proc = subprocess.run(
-        [sys.executable, "-m", "h3cover.cli", "construct", name, f"--{size}", OVERSIZE[size],
-         "-o", str(tmp_path / "g.h3")],
+        [sys.executable, "-m", "h3cover.cli", "construct", name, "--n", size, "-o", str(tmp_path / "g.h3")],
         capture_output=True, text=True, timeout=20, env=env, preexec_fn=_cap_address_space,
     )
     assert proc.returncode == 2
@@ -427,5 +437,5 @@ def test_one_command_builds_only_its_own_options(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
     code, _, _ = run(capsys, "search", "--pattern", "K4", "--n", "4")
     assert code == 0
-    # -h, --format, --pattern, --n and --budget-seconds; the whole tree adds 30
+    # -h, --format, --pattern, --n and --budget-seconds; the whole tree adds 32
     assert len(calls) <= 5, calls

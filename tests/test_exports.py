@@ -1,5 +1,3 @@
-import ast
-import importlib
 import re
 from pathlib import Path
 
@@ -7,17 +5,17 @@ import h3cover
 from h3cover import analysis, constructions, core, patterns
 
 
+MODULES = (core, patterns, constructions, analysis)
+
+
 def test_every_public_name_resolves():
     # a name left in __all__ after its definition is gone makes `from module import *` raise
-    stale = [f"{m.__name__}.{name}" for m in (core, patterns, constructions, analysis)
-             for name in m.__all__ if not hasattr(m, name)]
-    # each name the package re-exports is its module's public object
-    for node in ast.parse(Path(h3cover.__file__).read_text()).body:
-        if isinstance(node, ast.ImportFrom):
-            module = importlib.import_module(f"h3cover.{node.module}")
-            stale += [f"h3cover.{a.name}" for a in node.names
-                      if a.name not in module.__all__ or getattr(h3cover, a.name) is not getattr(module, a.name)]
+    stale = [f"{m.__name__}.{name}" for m in MODULES for name in m.__all__ if not hasattr(m, name)]
     assert stale == []
+    # the package re-exports every public name of every module, as the module's own object
+    for m in MODULES:
+        for name in m.__all__:
+            assert getattr(h3cover, name) is getattr(m, name), f"{m.__name__}.{name}"
 
 
 def test_readme_library_tour_runs():

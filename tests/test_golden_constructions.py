@@ -26,7 +26,7 @@ CASES = (
     + [["f1e", "--n", str(n), "--seed", str(s)] for n in (10, 11, 12, 30) for s in (0, 1, 7)]
     + [["f1p", "--n", str(n), "--seed", str(s)] for n in (11, 14, 29) for s in (0, 1, 7)]
     + [["blowup", "--base", base, "--factor", str(k)] for base in BASES for k in (1, 2, 3)]
-    + [["sts", "--t", str(t)] for t in (7, 9, 13, 15)]
+    + [["sts", "--n", str(n)] for n in (7, 9, 13, 15)]
 )
 
 

@@ -54,8 +54,8 @@ def test_catalog_rejects_bad_sizes():
         pattern("C4")
     with pytest.raises(ValueError, match="no Steiner triple system on 8 vertices"):
         pattern("STS:8")
-    # a family needs its size in ASCII digits, STS after a colon
-    for name in ("Q7", "K", "K-", "C", "STS9", "K\u0664", "C\u0665", "STS:\u0669"):
+    # a family needs its size in ASCII digits without a leading zero, STS after a colon
+    for name in ("Q7", "K", "K-", "C", "STS9", "K\u0664", "C\u0665", "STS:\u0669", "K04", "K04-", "C05", "STS:09"):
         with pytest.raises(ValueError, match=f"unknown pattern '{name}'"):
             pattern(name)
 

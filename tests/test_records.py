@@ -38,7 +38,7 @@ def _samples() -> dict:
         SyClass: ("S3", frozenset({"ax", "bx", "cx"})),
         SearchReport: ("K4", 6, 2, Hypergraph3.from_triples(6, [(0, 1, 2)]), 5, 100, True, 1.5, "n"),
         PartitionDiagnostics: (0, 1, 2, 3, (3, 3, 3), Fraction(1, 3)),
-        RecoveredPartition: (tri, (0, 3, 6), (3, 3, 3), diag, Fraction(1, 429), True),
+        RecoveredPartition: (tri, (0, 3, 6), (3, 3, 3), diag, True),
         CheckResult: ("min_codegree", 4, 4, True),
         VerificationReport: ((check,), True),
         Tripartition: (None, ((0, 1), (2, 3))),
