@@ -30,7 +30,7 @@ from .constructions import (
     fano_bipartite,
     sts,
 )
-from .core import _count, load_h3, write_h3
+from .core import _count, _seconds, load_h3, write_h3
 from .patterns import pattern, uncovered_vertices
 
 SCHEMA = 1
@@ -152,9 +152,9 @@ def cmd_search(args) -> int:
 def cmd_bounds(args) -> int:
     pat = pattern(args.pattern)
     lo_s, sep, hi_s = args.n.partition("..")
-    lo, hi = _count(lo_s), _count(hi_s if sep else lo_s)
-    if lo > hi:
-        raise ValueError(f"empty range {args.n!r}: the first n exceeds the last")
+    lo, hi = (_count(end) if end else None for end in (lo_s, hi_s if sep else lo_s))
+    if lo is None or hi is None or lo > hi:
+        raise ValueError(f"bad range {args.n!r}: give n or lo..hi with both ends and lo <= hi")
     rows = [{"n": n, **c2_bounds(pat, n)._asdict()} for n in range(lo, hi + 1)]
     lines = [f"{'n':>4} {'lower':>6} {'upper':>6} {'exact':>6}"]
     for r in rows:
@@ -214,7 +214,7 @@ _COMMANDS = {
     "search": ("exact threshold by exhaustion at tiny n", cmd_search, (
         (("--pattern",), dict(required=True)),
         (("--n",), dict(type=_count, required=True)),
-        (("--budget-seconds",), dict(type=float, default=None)))),
+        (("--budget-seconds",), dict(type=_seconds, default=None)))),
     "bounds": ("closed-form bracket table over a range of n", cmd_bounds, (
         (("--pattern",), dict(required=True)),
         (("--n",), dict(required=True, help="single value or range like 7..18")))),

@@ -19,12 +19,14 @@ in one index and drops the block's padding.  ``contains`` reads one bit;
 ``from_triples`` ranks whole vertex arrays at once.
 
 Every pair query reads one table, built lazily from the same array
-(``pair_masks``): the edges flag a bool matrix of pairs by vertices, and
-``np.packbits`` packs each row.  Entry [u][v] is the vertex bitmap of the
-joint neighbourhood of u and v.  ``pair_mask``, ``codegree`` and
-``neighborhood`` read one entry, ``min_codegree`` the least popcount, a
-``LinkGraph`` is one row, and the embedding searches of ``patterns`` index
-the table directly.  The same table splits the vertices into twin classes
+(``pair_masks``): the edges flag a bool matrix of pairs by vertices in one
+flat scatter per pair column, ``np.packbits`` packs each row into 64-bit
+words, and each word column becomes Python ints at once.  Entry [u][v] is the
+vertex bitmap of the joint neighbourhood of u and v.  ``pair_mask``,
+``codegree`` and ``neighborhood`` read one entry, and ``min_codegree`` the
+least of the codegrees one popcount of the words counts; a ``LinkGraph`` is
+one row, and the embedding searches of ``patterns`` index the table
+directly.  The same table splits the vertices into twin classes
 (``twin_classes``), cached beside it.
 
 Two interchangeable text encodings are supported by ``dumps_h3``/``loads_h3``:
@@ -136,7 +138,7 @@ def _set_bits(raw: bytes) -> np.ndarray:
 class Hypergraph3:
     """An immutable 3-graph: a vertex count and an edge bitmap."""
 
-    __slots__ = ("n", "bits", "_raw", "_triples", "_pair_masks", "_twins")
+    __slots__ = ("n", "bits", "_raw", "_triples", "_pair_masks", "_codegrees", "_twins")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
@@ -148,6 +150,7 @@ class Hypergraph3:
         self._raw: Optional[bytes] = None
         self._triples: Optional[np.ndarray] = None
         self._pair_masks: Optional[tuple[tuple[int, ...], ...]] = None
+        self._codegrees: Optional[np.ndarray] = None  # n x n (n on the diagonal), with the pair table
         self._twins: Optional[dict[int, int]] = None
 
     @classmethod
@@ -198,16 +201,26 @@ class Hypergraph3:
         uvw is an edge, the same int object as [v][u]; entry [u][u] is 0."""
         if self._pair_masks is None:
             # row r flags the neighbours of the pair of rank r; row C(n,2) stays 0 for the diagonal
-            n, t = self.n, self.edge_array()
-            c2 = _binomials(n)[0]
-            keys = np.concatenate([c2[t[:, j]] + t[:, i] for i, j in ((0, 1), (0, 2), (1, 2))])
-            flags = np.zeros((comb(n, 2) + 1, n), dtype=bool)
-            flags[keys, np.concatenate([t[:, 2], t[:, 1], t[:, 0]])] = True
-            packed = np.packbits(flags, axis=1, bitorder="little")
-            masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+            n, t, rows = self.n, self.edge_array(), comb(self.n, 2) + 1
+            c2, at = _binomials(n)[0], np.empty(len(t), dtype=np.intp)
+            flags = np.zeros(rows * n, dtype=bool)
+            for i, j, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                np.add(c2.take(t[:, j]), t[:, i], out=at)
+                at *= n
+                at += t[:, r]
+                flags[at] = True
+            k = max(1, -(-n // 64))  # each row as k little-endian 64-bit words
+            words = np.zeros((rows, k), dtype="<u8")
+            words.view(np.uint8)[:, :(n + 7) // 8] = np.packbits(flags.reshape(rows, n), axis=1, bitorder="little")
+            masks = words[:, 0].tolist()
+            for j in range(1, k):
+                masks = [m | w << 64 * j for m, w in zip(masks, words[:, j].tolist())]
             v = np.arange(n)
             rank = c2[np.maximum.outer(v, v)] + np.minimum.outer(v, v)
-            np.fill_diagonal(rank, comb(n, 2))
+            np.fill_diagonal(rank, rows - 1)
+            counts = np.bitwise_count(words).sum(axis=1)
+            counts[-1] = n  # the diagonal's row: n exceeds every codegree, so the least entry is a pair's
+            self._codegrees = counts[rank]
             self._pair_masks = tuple(tuple(map(masks.__getitem__, row)) for row in rank.tolist())
         return self._pair_masks
 
@@ -223,7 +236,7 @@ class Hypergraph3:
         """
         if self._twins is None:
             rows, n = self.pair_masks(), self.n
-            codeg = [list(map(int.bit_count, row)) for row in rows]
+            codeg = self._codegrees.tolist()
             profile = [hash(tuple(sorted(c))) for c in codeg]
             alike: dict[int, int] = {}
             for v, key in enumerate(profile):
@@ -269,8 +282,8 @@ class Hypergraph3:
 
     def min_codegree(self) -> int:
         """Minimum codegree over all pairs; 0 when there are no pairs."""
-        table = self.pair_masks()
-        return min((mask.bit_count() for u, row in enumerate(table) for mask in row[u + 1:]), default=0)
+        self.pair_masks()
+        return int(self._codegrees.min()) if self.n > 1 else 0
 
     def min_degree(self) -> int:
         return int(self._degrees().min()) if self.n else 0
@@ -389,7 +402,14 @@ def _count(text: str) -> int:
     return int(_only(text, _DIGITS, "a count holds only ASCII decimal digits"))
 
 
-_count.__name__ = "count"  # argparse names the type of an option value it refuses by __name__
+def _seconds(text: str) -> float:
+    """A time given from outside the program: ASCII decimal digits, at least one, and at most one '.'."""
+    if not re.fullmatch(r"(?=.*[0-9])[0-9]*\.?[0-9]*", text):
+        raise ValueError(f"seconds are ASCII decimal digits with at most one '.', found {text!r}")
+    return float(text)
+
+
+_count.__name__, _seconds.__name__ = "count", "seconds"  # argparse reports "invalid count value"
 
 
 def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:

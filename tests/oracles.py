@@ -6,6 +6,7 @@ paths inside the package, so a test that compares the two exercises a real
 dual route.
 """
 
+from collections import Counter
 from itertools import combinations, permutations
 
 from h3cover import Hypergraph3, triple_rank
@@ -14,7 +15,8 @@ from h3cover import Hypergraph3, triple_rank
 def triples_of(g):
     """Edges read straight off the bitmap: each triple whose rank bit is set, in colex order."""
     ranked = sorted(combinations(range(g.n), 3), key=lambda t: triple_rank(*t))
-    return [t for t in ranked if g.bits >> triple_rank(*t) & 1]
+    bits = bin(g.bits)[:1:-1]  # bit r is character r; a shift per rank would copy the bitmap each time
+    return [t for r, t in enumerate(ranked) if r < len(bits) and bits[r] == "1"]
 
 
 def loads_h3(text):
@@ -60,10 +62,19 @@ def codegree(g, u, v):
     return sum(1 for e in triples_of(g) if u in e and v in e)
 
 
+def pair_table(g):
+    """The pair table edge by edge: entry [u][v] gains the bit w for each edge uvw; [u][u] stays 0."""
+    table = [[0] * g.n for _ in range(g.n)]
+    for a, b, c in triples_of(g):
+        for u, v, w in permutations((a, b, c)):
+            table[u][v] |= 1 << w
+    return table
+
+
 def min_codegree(g):
-    if g.n < 2:
-        return 0
-    return min(codegree(g, u, v) for u, v in combinations(range(g.n), 2))
+    """The least number of edges through a pair, counted edge by edge; 0 when there are no pairs."""
+    count = Counter(pair for e in triples_of(g) for pair in combinations(e, 2))
+    return min((count[pair] for pair in combinations(range(g.n), 2)), default=0)
 
 
 def degree(g, x):
@@ -237,15 +248,18 @@ def automorphism_orbits(g):
 
 def twin_classes(g):
     """For each vertex, the vertices whose transposition with it is an automorphism (itself
-    included), each ascending; the distinct ones, ordered by least vertex."""
-    auts = set(automorphisms(g))
+    included), each ascending; the distinct ones, ordered by least vertex.  The swap of u and
+    v fixes every edge through neither, so only the edges through u or v are mapped."""
+    edges = set(triples_of(g))
+    through = [[e for e in edges if x in e] for x in range(g.n)]
 
-    def swap(u, v):
+    def swap_is_automorphism(u, v):
         p = list(range(g.n))
         p[u], p[v] = v, u
-        return tuple(p)
+        return all(tuple(sorted((p[a], p[b], p[c]))) in edges for a, b, c in through[u] + through[v])
 
-    return sorted({tuple(u for u in range(g.n) if swap(u, v) in auts) for v in range(g.n)})
+    twins = {(u, v) for u, v in combinations(range(g.n), 2) if swap_is_automorphism(u, v)}
+    return sorted({tuple(u for u in range(g.n) if u == v or (min(u, v), max(u, v)) in twins) for v in range(g.n)})
 
 
 def _has(g, *t):

@@ -170,13 +170,20 @@ def test_truncated_search_json_is_deterministic(capsys):
     assert "target" not in payload["note"]
 
 
-def test_search_negative_budget_exits_2(capsys):
-    code, stdout, err = run(
-        capsys, "search", "--pattern", "K4", "--n", "5", "--budget-seconds", "-1"
-    )
-    assert code == 2
-    assert stdout == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+@pytest.mark.parametrize("value", ["60", "60.", ".5"])
+def test_search_budget_takes_ascii_decimals(capsys, value):
+    # "0" and "0.05" are the truncated searches above
+    code, stdout, _ = run(capsys, "search", "--pattern", "K4", "--n", "5", "--budget-seconds", value)
+    assert code == 0 and json.loads(stdout)["exhaustive"] is True
+
+
+@pytest.mark.parametrize("value", ["\u0665", "1_0", " 1", "+1", "-1", "1e1", "inf", "nan", "", ".", "1.2.3", "0x1"])
+def test_search_budget_takes_only_ascii_decimals(capsys, value):
+    # float() would read all but the last four: a sign, '_', spaces, exponents and non-ASCII digits
+    code, stdout, err = _outcome(
+        capsys, lambda: main(["search", "--pattern", "K4", "--n", "5", "--budget-seconds", value]))
+    assert code in (2, ("exit", 2)) and stdout == "" and "Traceback" not in err
+    assert "error: " in err.splitlines()[-1] and err.count("error: ") == 1
 
 
 def test_bounds_table(capsys):
@@ -196,6 +203,15 @@ def test_bounds_empty_range_exits_2(capsys):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["5..", "..5"])
+def test_bounds_empty_end_exits_2(capsys, n):
+    code, stdout, err = run(capsys, "bounds", "--pattern", "K4", "--n", n)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(n) in err
+    assert "invalid literal" not in err
 
 
 # every integer option, and both ends of the bounds range; {} is the value under test

@@ -13,6 +13,7 @@ from math import comb
 from h3cover import (
     Hypergraph3,
     admissible_sample,
+    blow_up,
     dumps_h3,
     f1,
     f1_variant,
@@ -151,6 +152,21 @@ def test_pair_masks_match_membership(g):
     edges = set(oracles.triples_of(g))
     for u, v in combinations(range(g.n), 2):
         assert g.pair_mask(u, v) == sum(1 << w for w in range(g.n) if tuple(sorted((u, v, w))) in edges)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 128, 129])
+def test_pair_table_words_match_oracle(n):
+    # rows of k = 1, 1, 2, 2, 3 words at n = 63, 64, 65, 128, 129, so every word column and the
+    # unused high bits of the last one are read back; n <= 2 has no triple, and n < 2 no pair
+    rng = random.Random(n)
+    g = Hypergraph3(n, int("".join("1" if rng.random() < 0.15 else "0" for _ in range(comb(n, 3))) or "0", 2))
+    table = g.pair_masks()
+    assert [list(row) for row in table] == oracles.pair_table(g)
+    for u in range(n):
+        assert table[u][u] == 0
+        assert all(type(table[u][v]) is int and table[u][v] is table[v][u] for v in range(n))
+    assert g.min_codegree() == oracles.min_codegree(g)
+    assert (g.min_codegree() > 0) == (n > 2)  # the seeded hosts leave no pair without a third
 
 
 def test_codegree_errors():
@@ -416,6 +432,31 @@ def bitmaps(max_n=10):
             st.integers(min_value=0, max_value=max(0, (1 << comb(n, 3)) - 1)),
         )
     )
+
+
+def labelled_hosts(max_n=8):
+    """Hosts on up to max_n vertices whose edges are the triples of some sorted label triples,
+    so that two vertices of one label are twins, and random hosts, which seldom have twins."""
+    def build(labels, keep):
+        return Hypergraph3.from_triples(len(labels), oracles.labelled_triples(labels, keep.__contains__))
+
+    triples = st.lists(st.tuples(*[st.integers(0, 2)] * 3).map(lambda t: tuple(sorted(t))))
+    labelled = st.builds(build, st.lists(st.integers(0, 2), max_size=max_n), triples.map(set))
+    return st.one_of(labelled, bitmaps(max_n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(labelled_hosts())
+def test_twin_classes_match_swap_oracle(g):
+    classes = [c for c in oracles.twin_classes(g) if len(c) > 1]
+    assert g.twin_classes() == {v: sum(1 << u for u in c) for c in classes for v in c}
+
+
+@pytest.mark.parametrize("g", [f1(65)[0], blow_up(f1(13)[0], 5)[0]], ids=["f1_65", "blowup_f1_13_x5"])
+def test_twin_classes_of_large_hosts_match_swap_oracle(g):
+    # two words per row; f1(65)'s parts and the blow-up's copies of each base vertex are classes
+    classes = [c for c in oracles.twin_classes(g) if len(c) > 1]
+    assert classes and g.twin_classes() == {v: sum(1 << u for u in c) for c in classes for v in c}
 
 
 @settings(max_examples=150, deadline=None)
