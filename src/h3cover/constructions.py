@@ -7,7 +7,8 @@ are never trusted downstream: the analysis module re-measures all of them.
 
 Each family but the Steiner systems is a rule on part labels, built by one
 private builder from the part sizes, the apex flag and the allowed label
-triples; ``f1_variant`` then swaps the triples of its pair set.
+triples, with the triples of ``f1_variant``'s pair set flipped; it writes the
+edge array beside the bitmap, so a new graph never decodes its bitmap.
 ``sts`` pairs ``steiner`` with claims naming one part of all t vertices.
 
 Layout convention: parts are contiguous index ranges starting at 0 and the
@@ -24,7 +25,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import Hypergraph3, _bitmap, triple_rank, triple_table
+from .core import Hypergraph3, _binomials, _with_rows, triple_rank
 
 __all__ = [
     "Tripartition",
@@ -196,31 +197,39 @@ def _part_index(parts: tuple[tuple[int, ...], ...], n: int) -> list[int]:
 
 def _build(
     name: str, n: int, sizes: Sequence[int], apex: bool, allowed, min_codegree: int,
-    uncovered: Iterable[int], pattern_hint: str, params: tuple[tuple[str, int], ...] = (),
+    uncovered: Iterable[int], pattern_hint: str, params: tuple[tuple[str, int], ...] = (), swaps=(),
 ) -> tuple[Hypergraph3, ConstructionClaims]:
     """A family given by a rule on part labels, with its claims.
 
     The parts are contiguous, of the given sizes, labelled 0, 1, ... in order;
     the apex, if any, is vertex n-1 with the label after the last part.  The
     edges are the triples whose vertex labels, in some order, form a triple
-    of ``allowed``.
+    of ``allowed``, with the membership of each of the distinct ranks ``swaps`` flipped.
     """
-    # the rank table first: numpy refuses an oversize n at once, before any O(n) Python work
-    table = triple_table(n)
+    # the edge flags first: numpy refuses an oversize n at once, before any O(n) Python work
+    flags = np.empty(comb(n, 3), dtype=bool)
     parts = _contiguous_parts(sizes)
-    label = _part_index(parts, n)
+    lab = np.array(_part_index(parts, n))
     if apex:
-        label[n - 1] = len(parts)
-    k = max(label) + 1
+        lab[n - 1] = len(parts)
+    k = lab.max() + 1
+    # labels ascend with the vertex, so a sorted triple a < b < c has sorted labels;
+    # slice ok[lab[c]], indexed by lab[a] * k + lab[b], flags the pairs below c
     ok = np.zeros((k, k, k), dtype=bool)
-    # labels ascend with the vertex, so a sorted triple has sorted labels
-    ok[tuple(np.sort(allowed, axis=1).T)] = True
-    lab = np.array(label, dtype=np.int16)[table]
-    claims = ConstructionClaims(
-        name, n, min_codegree, tuple(uncovered),
-        Tripartition(apex=n - 1 if apex else None, parts=parts), pattern_hint, params,
-    )
-    return Hypergraph3(n, _bitmap(np.flatnonzero(ok[lab[:, 0], lab[:, 1], lab[:, 2]]))), claims
+    ok[tuple(np.sort(allowed, axis=1).T[[2, 0, 1]])] = True
+    b_of, a_of = (v.astype(np.int16) for v in np.tril_indices(n, -1))  # the pairs a < b in colex order
+    code = lab[a_of] * k + lab[b_of]
+    c2, c3 = _binomials(n)
+    for c in range(2, n):  # the ranks with top vertex c are C(c,3) plus the C(c,2) pair ranks below c
+        np.take(ok[lab[c]].ravel(), code[:c2[c]], out=flags[c3[c]:c3[c] + c2[c]], mode="clip")
+    flags[np.fromiter(swaps, np.intp)] ^= True
+    bits = int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+    ranks = np.flatnonzero(flags)
+    top = np.repeat(np.arange(n, dtype=np.int16), np.diff(np.searchsorted(ranks, c3), append=len(ranks)))
+    ranks -= c3[top]  # the pair ranks
+    claims = ConstructionClaims(name, n, min_codegree, tuple(uncovered),
+                                Tripartition(n - 1 if apex else None, parts), pattern_hint, params)
+    return _with_rows(n, bits, np.stack([a_of[ranks], b_of[ranks], top], axis=1)), claims
 
 
 def _triples_over(k: int, distinct) -> list[tuple[int, int, int]]:
@@ -252,8 +261,8 @@ def _variant_partition(case: str, n: int) -> Tripartition:
         raise ValueError(f"unknown case {case!r}")
     if n % 3 != _CASE_RESIDUE[case]:
         raise ValueError(f"case {case!r} needs n === {_CASE_RESIDUE[case]} (mod 3), got n={n}")
-    # size the rank table that _build fills: numpy refuses an oversize n at once
-    np.empty((comb(n, 3), 3), dtype=np.int16)
+    # size the edge flags that _build fills: numpy refuses an oversize n at once
+    np.empty(comb(n, 3), dtype=bool)
     m = n // 3
     sizes = {
         "0": (m - 1, m, m),
@@ -279,12 +288,11 @@ def f1_variant(
         raise ValueError(f"pair set was built for case {pair_set.case!r}, not {case!r}")
     part = _variant_partition(case, n)
     pair_set.validate(part)
-    g, claims = _build("f1e" if case != "2p" else "f1p", n, part.sizes(), True, _F1_LABELS,
-                       (2 * n - 5) // 3, (n - 1,), "K4", (("pairs", len(pair_set.pairs)),))
-    # pairs uv and uw add the same triple uvw: toggle the union of the swaps once
-    swaps = [triple_rank(u, v, w) for u, v in pair_set.pairs
-             for w in (n - 1, *part.parts[3 - part.part_of(u) - part.part_of(v)])]
-    return Hypergraph3(n, g.bits ^ _bitmap(np.array(swaps, dtype=np.int64))), claims
+    # pairs uv and uw add the same triple uvw: as a set, the swaps flip their union once
+    swaps = {triple_rank(u, v, w) for u, v in pair_set.pairs
+             for w in (n - 1, *part.parts[3 - part.part_of(u) - part.part_of(v)])}
+    return _build("f1e" if case != "2p" else "f1p", n, part.sizes(), True, _F1_LABELS,
+                  (2 * n - 5) // 3, (n - 1,), "K4", (("pairs", len(pair_set.pairs)),), swaps)
 
 
 def admissible_sample(case: str, n: int, seed: int = 0) -> AdmissiblePairSet:

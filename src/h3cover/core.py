@@ -10,9 +10,10 @@ C(n,3)-1.  That integer is the canonical, hashable value; graphs are
 immutable and safe to share across threads.  One decode path serves every
 view: a graph turns its set bits (the edge ranks) into an int16 array of
 triples once, lazily, by binary search in the binomial columns C(v,2), C(v,3)
-(``edge_array``).  Reading skips it: the rows of one ``np.loadtxt`` call,
-ranked and put in rank order, are the array; numpy parses the file that
-``load_h3`` names in chunks, and the text given to ``loads_h3`` line by line.
+(``edge_array``).  Reading and building skip it: the array of a graph read is
+the rows of one ``np.loadtxt`` call, put in rank order (numpy parses the file
+``load_h3`` names in chunks, the text given to ``loads_h3`` line by line), and
+a construction writes its rows from the edge flags its bitmap is packed from.
 Degrees and ``dumps_h3`` are numpy passes over it; the writer gathers each
 block of rows' text cells from a per-vertex table of NUL-padded byte strings
 in one index and drops the block's padding.  ``contains`` reads one bit;
@@ -133,6 +134,14 @@ def _set_bits(raw: bytes) -> np.ndarray:
     nonzero = np.flatnonzero(buf)
     byte, bit = np.nonzero(np.unpackbits(buf[nonzero, None], axis=1, bitorder="little"))
     return nonzero[byte] * 8 + bit
+
+
+def _with_rows(n: int, bits: int, t: np.ndarray) -> "Hypergraph3":
+    """The graph of the bitmap bits, handed its edge array t: the rows of its set bits, in rank order."""
+    g = Hypergraph3(n, bits)
+    g._triples = t
+    t.flags.writeable = False
+    return g
 
 
 class Hypergraph3:
@@ -418,15 +427,16 @@ def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
     head, _, body = text.lstrip().partition("\n")
     if not head:
         raise ValueError("empty .h3 input")
-    if head.startswith("n:"):
-        n = int(_only(head[2:], _DIGITS + _SPACE, "the header holds only unsigned decimal counts"))
+    hexform = head.startswith("n:")  # a header of one count, n; the edge-list header holds n and m
+    counts = _only(head.removeprefix("n:"), _DIGITS + _SPACE,
+                   "the header holds only unsigned decimal counts").split()
+    if len(counts) != (1 if hexform else 2):
+        raise ValueError(f"bad header line {head!r}: expected 'n m' or 'n: <count>'")
+    n, m = _count(counts[0]), _count(counts[-1])
+    if hexform:
         body = _only(body, _DIGITS + b"abcdefABCDEF" + _SPACE, "the bitmap holds only hex digits")
         hexstr = "".join(line.strip() for line in body.splitlines())
         return Hypergraph3(n, int(hexstr, 16) if hexstr else 0)
-    parts = _only(head, _DIGITS + _SPACE, "the header holds only unsigned decimal counts").split()
-    if len(parts) != 2:
-        raise ValueError(f"bad header line {head!r}: expected 'n m' or 'n: <count>'")
-    n, m = map(int, parts)
     _only(body, _DIGITS + _SPACE, "edge lines hold only unsigned decimal vertices")
     # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body; it reads
     # a named file in chunks, skipping the lines up to the header, and any other source line by line
@@ -443,10 +453,7 @@ def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
         ranks, t = ranks[order], t[order]
         if (twice := np.flatnonzero(ranks[1:] == ranks[:-1])).size:
             raise ValueError(f"edge {' '.join(map(str, t[twice[0]].tolist()))} is listed twice")
-    g = Hypergraph3(n, _bitmap(ranks))
-    g._triples = t  # the parsed rows: no reader of the file decodes the bitmap
-    t.flags.writeable = False
-    return g
+    return _with_rows(n, _bitmap(ranks), t)  # the parsed rows: no reader of the file decodes the bitmap
 
 
 def write_h3(g: Hypergraph3, path, fmt: str = "text") -> None:

@@ -112,6 +112,15 @@ def test_removed_spellings_exit_2(tmp_path, capsys, argv, error):
     assert load_h3(path) == pattern("K4-").graph
 
 
+@pytest.mark.parametrize("text", ["n:\n", "n: \n0\n", "n: 4 5\n0\n"])
+def test_verify_a_hex_header_without_one_count_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "g.h3"
+    path.write_text(text)
+    code, stdout, err = _outcome(capsys, lambda: main(["verify", "--in", str(path), "--pattern", "K4"]))
+    assert code == 2 and stdout == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "bad header line" in err
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "cover", "--in", str(tmp_path / "nope.h3"), "--pattern", "K4")
     assert code == 1

@@ -1,6 +1,8 @@
 import random
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from itertools import combinations
@@ -10,6 +12,7 @@ from h3cover import (
     AdmissiblePairSet,
     Hypergraph3,
     blow_up,
+    dumps_h3,
     embed_covering,
     f1,
     f1_variant,
@@ -23,7 +26,7 @@ from h3cover import (
     steiner,
     uncovered_vertices,
 )
-from h3cover import constructions
+from h3cover import constructions, core
 from h3cover.constructions import VARIANT_CASES
 
 import oracles
@@ -407,3 +410,91 @@ def test_blow_up_matches_its_defining_rule():
             return p[0] != p[1] if p[2] == APEX else len(set(p)) < 3 or p in base_edges
 
         assert set(oracles.triples_of(g)) == oracles.labelled_triples(_labels(claims), rule)
+
+
+# -- the builder hands over its edge array: checked against the bitmap's own decode --------
+
+
+def _maximal_pair_set(case, n):
+    """The greedy admissible pair set over the cross pairs in lexicographic order: no pair extends it."""
+    parts = f1_variant(case, AdmissiblePairSet(case, ()), n)[1].partition.parts
+    label = {v: i for i, part in enumerate(parts) for v in part}
+    caps, used, pairs = VARIANT_CASES[case], dict.fromkeys(label, 0), []
+    for u, v in combinations(sorted(label), 2):
+        if label[u] != label[v] and used[u] < caps[label[u]] and used[v] < caps[label[v]]:
+            pairs.append((u, v))
+            used[u] += 1
+            used[v] += 1
+    return AdmissiblePairSet(case, pairs)
+
+
+def _variant_pair_sets():
+    """(case, n, pair set) for every case at n = 6..40: empty, seeded samples and a maximal set."""
+    for case, residue in (("0", 0), ("1", 1), ("2", 2), ("2p", 2)):
+        for n in range(6 + (residue - 6) % 3, 41, 3):
+            yield case, n, AdmissiblePairSet(case, ())
+            yield case, n, admissible_sample(case, n, seed=n)
+            yield case, n, admissible_sample(case, n, seed=n + 1000)
+            yield case, n, _maximal_pair_set(case, n)
+
+
+def _built_graphs():
+    for maker, lo in ((f1, 4), (f2, 7), (f3, 5), (f4, 5), (f32_tripartite, 5), (fano_bipartite, 7)):
+        for n in range(lo, 41):
+            yield maker(n)[0]
+    for base in (pattern("K4-").graph, pattern("C5").graph):
+        for factor in (1, 2, 3):
+            yield blow_up(base, factor)[0]
+    for case, n, pairs in _variant_pair_sets():
+        yield f1_variant(case, pairs, n)[0]
+
+
+def test_built_edge_array_matches_the_bitmap_decode():
+    for g in _built_graphs():
+        decoded = Hypergraph3(g.n, g.bits)
+        t = g.edge_array()
+        assert t.dtype == np.int16 and not t.flags.writeable, g
+        assert np.array_equal(t, decoded.edge_array()), g
+        assert dumps_h3(g) == dumps_h3(decoded)
+
+
+def test_maximal_pair_set_admits_no_further_pair():
+    for case, n in (("0", 12), ("1", 13), ("2", 14), ("2p", 14)):
+        pairs = _maximal_pair_set(case, n)
+        part = f1_variant(case, pairs, n)[1].partition
+        for u, v in combinations(range(n - 1), 2):
+            if (u, v) not in pairs.pairs and part.part_of(u) != part.part_of(v):
+                with pytest.raises(ValueError):
+                    AdmissiblePairSet(case, pairs.pairs | {(u, v)}).validate(part)
+
+
+def test_built_graphs_are_never_decoded(monkeypatch):
+    # the base of a blow-up is decoded for its codegree and clique number before the patch
+    base = pattern("K4-").graph
+    base.pair_masks()
+
+    def no_decode(n, ranks):
+        raise AssertionError("a constructed graph decoded its bitmap")
+
+    monkeypatch.setattr(core, "_unrank", no_decode)
+    built = [maker(14)[0] for maker in (f1, f2, f3, f4, f32_tripartite, fano_bipartite)]
+    built += [blow_up(base, 3)[0], f1_variant("2", admissible_sample("2", 14, 3), 14)[0],
+              f1_variant("2p", admissible_sample("2p", 14, 4), 14)[0]]
+    for g in built:
+        assert dumps_h3(g).count("\n") == g.num_edges + 1
+        assert g.pair_masks() and g.min_codegree() >= 0
+
+
+def test_variant_build_peak_memory_is_bounded_by_its_edge_array():
+    # edge flags, the edge ranks and the rows: 3.7 times the array on f1e(99); a table of
+    # every rank's triple and a decode of the bitmap put it at 6.6 times
+    pairs = admissible_sample("0", 99, 1)
+    f1_variant("0", pairs, 99)  # first-use imports and caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        t = f1_variant("0", pairs, 99)[0].edge_array()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 121_016 and peak < 5 * t.nbytes

@@ -356,6 +356,17 @@ def test_loads_rejects_bad_input(tmp_path):
             loads_h3(f"4 1\n{line}\n")
 
 
+@pytest.mark.parametrize("text", ["n:\n", "n: \n0\n", "n: 4 5\n0\n"])
+def test_hex_header_without_one_count_is_named(text):
+    # int() would report these in its own words
+    with pytest.raises(ValueError) as exc:
+        loads_h3(text)
+    assert "invalid literal" not in str(exc.value)
+    head = text.split("\n")[0]
+    assert str(exc.value).startswith(f"bad header line {head!r}")
+    assert loads_h3("n:4\n3\n") == loads_h3("n: 4\n3\n") == Hypergraph3(4, 3)
+
+
 def test_loads_rejects_duplicate_edge_lines():
     with pytest.raises(ValueError, match="0 1 2 is listed twice"):
         loads_h3("12 2\n0 1 2\n0 1 2\n")
@@ -613,6 +624,7 @@ _FILE_CASES = [
     "4 2\n0 1 2\n1 2\n", "4 2\n0 1 2\n0 1 2\n", "4 1\n0 1 x\n", "4 1\n0 1 4\n", "4 3\n0 1 2\n",
     "4 1\n0 1 2 # \x00\n\x00\n", "4 1\n0 1 99999\n", "# 1 2\n\n",
     "n: 4\n3\n", "n: 4\n", "", "  \n",
+    "n:\n", "n: \n0\n", "n: 4 5\n0\n", "n:4\n3\n",  # a hex header holds one count
     *(text for text in _BAD_NUMERALS if text.isascii()),
 ]
 
