@@ -149,12 +149,6 @@ class SyClass(NamedTuple):
     pairs: frozenset
 
 
-def _slot_masks(rows, a: int, b: int, c: int, x: int) -> tuple[int, ...]:
-    """The pair-table entries of the six slots, in PAIR_SLOTS order: bit y of
-    each says whether that pair forms an edge with y."""
-    return rows[a][b], rows[a][c], rows[b][c], rows[a][x], rows[b][x], rows[c][x]
-
-
 def classify_sy(g: Hypergraph3, quad: tuple[int, int, int, int], y: int) -> SyClass:
     """Classify which pairs of the anchored 4-set S={a,b,c,x} make edges with y.
 
@@ -383,7 +377,8 @@ def recover_partition(g: Hypergraph3, x: int) -> Optional[RecoveredPartition]:
         return None
     a, b, c = tri
     rows = g.pair_masks()
-    ab, ac, bc, ax, bx, cx = _slot_masks(rows, a, b, c, x)
+    # the six slots' pair-table entries, in PAIR_SLOTS order: bit y says the pair makes an edge with y
+    ab, ac, bc, ax, bx, cx = rows[a][b], rows[a][c], rows[b][c], rows[a][x], rows[b][x], rows[c][x]
     # the bucket of a holds a and every y whose configuration is exactly S1a
     # (likewise b, c); no slot mask contains a, b, c or x
     buckets = (

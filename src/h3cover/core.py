@@ -14,29 +14,28 @@ triples once, lazily, by binary search in the binomial columns C(v,2), C(v,3)
 the rows of one ``np.loadtxt`` call, put in rank order (numpy parses the file
 ``load_h3`` names in chunks, the text given to ``loads_h3`` line by line), and
 a construction writes its rows from the edge flags its bitmap is packed from.
-Degrees and ``dumps_h3`` are numpy passes over it; the writer gathers each
-block of rows' text cells from a per-vertex table of NUL-padded byte strings
-in one index and drops the block's padding.  ``contains`` reads one bit;
-``from_triples`` ranks whole vertex arrays at once.
+``dumps_h3`` is a numpy pass over it: it gathers each block of rows' text
+cells from a per-vertex table of NUL-padded byte strings in one index and
+drops the block's padding.  ``contains`` reads one bit; ``from_triples``
+ranks whole vertex arrays at once.
 
 Every pair query reads one table, built lazily from the same array
 (``pair_masks``): the edges flag a bool matrix of pairs by vertices in one
 flat scatter per pair column, ``np.packbits`` packs each row into 64-bit
 words, and each word column becomes Python ints at once.  Entry [u][v] is the
-vertex bitmap of the joint neighbourhood of u and v.  ``pair_mask``,
-``codegree`` and ``neighborhood`` read one entry, and ``min_codegree`` the
-least of the codegrees one popcount of the words counts; a ``LinkGraph`` is
-one row, and the embedding searches of ``patterns`` index the table
-directly.  The same table splits the vertices into twin classes
-(``twin_classes``), cached beside it.
+vertex bitmap of the joint neighbourhood of u and v.  ``pair_mask`` and
+``codegree`` read one entry, and ``min_codegree`` the least of the codegrees
+one popcount of the words counts; a ``LinkGraph`` is one row, and the
+embedding searches of ``patterns`` index the table directly.  The same table
+splits the vertices into twin classes (``twin_classes``), cached beside it.
 
 Two interchangeable text encodings are supported by ``dumps_h3``/``loads_h3``:
 
 * edge-list form: a header line ``n m`` followed by m lines ``a b c`` with
   0-based unsigned vertices ascending within each line.  ``#`` starts a
   comment and blank lines are ignored; a line ends at ``\n``, ``\r\n`` or a
-  bare ``\r``, after which more text on the same line is an error.  Edges are
-  written in colex order; an edge listed twice is an error.
+  bare ``\r``, as in a text-mode read.  Edges are written in colex order; an
+  edge listed twice is an error.
 * hex form: a header line ``n: <vertices>`` followed by the raw edge bitmap
   as a hex string (most significant digits first; may wrap over lines).
 
@@ -49,7 +48,6 @@ from __future__ import annotations
 import io
 import os
 import re
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -59,7 +57,6 @@ __all__ = [
     "Hypergraph3",
     "LinkGraph",
     "triple_rank",
-    "triple_table",
     "dumps_h3",
     "loads_h3",
     "write_h3",
@@ -100,11 +97,6 @@ def _unrank(n: int, ranks: np.ndarray) -> np.ndarray:
         rest -= binom[out[:, col]]
     out[:, 0] = rest
     return out
-
-
-def triple_table(n: int) -> np.ndarray:
-    """Fresh (C(n,3), 3) int16 array whose row r is the sorted triple of colex rank r."""
-    return _unrank(n, np.arange(comb(n, 3)))
 
 
 def _rank_rows(n: int, t: np.ndarray) -> np.ndarray:
@@ -277,36 +269,14 @@ class Hypergraph3:
         """Number of edges containing both u and v."""
         return self.pair_mask(u, v).bit_count()
 
-    def neighborhood(self, u: int, v: int) -> tuple[int, ...]:
-        """Sorted vertices w such that uvw is an edge."""
-        return tuple(_iter_bits(self.pair_mask(u, v)))
-
-    def _degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_array().ravel(), minlength=self.n)
-
-    def degree(self, x: int) -> int:
-        """Number of edges containing x."""
-        self._check_vertex(x)
-        return int(self._degrees()[x])
-
     def min_codegree(self) -> int:
         """Minimum codegree over all pairs; 0 when there are no pairs."""
         self.pair_masks()
         return int(self._codegrees.min()) if self.n > 1 else 0
 
-    def min_degree(self) -> int:
-        return int(self._degrees().min()) if self.n else 0
-
     def link_graph(self, x: int) -> "LinkGraph":
         self._check_vertex(x)
         return LinkGraph(x, self.pair_masks()[x])
-
-    def is_independent(self, vertices: Iterable[int]) -> bool:
-        """True iff no triple inside the given vertex set is an edge."""
-        vs = sorted(set(vertices))
-        if vs and (vs[0] < 0 or vs[-1] >= self.n):
-            raise ValueError("vertex out of range")
-        return not any(self.contains(a, b, c) for a, b, c in combinations(vs, 3))
 
     def complement(self) -> "Hypergraph3":
         full = (1 << comb(self.n, 3)) - 1
@@ -337,8 +307,7 @@ class LinkGraph:
 
     A view of row x of the owner's pair table, whose entry u is the bitmap of
     u's neighbours in the link.  Pair questions go to the owner g:
-    ``g.contains(u, v, x)``, ``g.pair_mask(x, u)``, ``g.codegree(x, u)`` and
-    ``g.degree(x)``, the link's pair count.
+    ``g.contains(u, v, x)``, ``g.pair_mask(x, u)`` and ``g.codegree(x, u)``.
     """
 
     __slots__ = ("n", "x", "_row")
@@ -347,12 +316,6 @@ class LinkGraph:
         self.n = len(row)
         self.x = x
         self._row = row
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """The pairs u < v, in colex order (by v, then u)."""
-        for v, adj in enumerate(self._row):
-            for u in _iter_bits(adj & ((1 << v) - 1)):
-                yield u, v
 
     def first_triangle(self) -> Optional[tuple[int, int, int]]:
         """Lexicographically first (a,b,c) with all three pairs present."""
@@ -392,6 +355,8 @@ def dumps_h3(g: Hypergraph3, fmt: str = "text") -> str:
 
 
 def loads_h3(text: str) -> Hypergraph3:
+    if "\r" in text:  # line ends as a text-mode open reads them: \r\n and a bare \r become \n
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return _read_h3(text)
 
 

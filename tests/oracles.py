@@ -77,10 +77,6 @@ def min_codegree(g):
     return min((count[pair] for pair in combinations(range(g.n), 2)), default=0)
 
 
-def degree(g, x):
-    return sum(1 for e in triples_of(g) if x in e)
-
-
 def embeds_through(host, x, pat):
     """Brute force over all injective maps: is some pattern image through x?"""
     pedges = triples_of(pat.graph)
