@@ -200,9 +200,6 @@ def test_link_f1_apex_is_complete_tripartite():
             part_of[v] = i
     want = {(u, v) for u, v in combinations(range(g.n - 1), 2) if part_of[u] != part_of[v]}
     assert link_pairs(g, apex) == want
-    # a transversal of the parts is not an edge, though each of its pairs is in the apex link
-    p = claims.partition.parts
-    assert not g.contains(p[0][0], p[1][0], p[2][0])
 
 
 def test_link_f3_apex_is_two_cliques():
@@ -236,6 +233,22 @@ def test_link_rejects_out_of_range_vertex():
             g.contains(u, 0, 8)
     with pytest.raises(ValueError):
         g.codegree(8, 8)
+
+
+def test_is_independent_f1_sets():
+    g, claims = f1(9)
+    apex = claims.partition.apex
+    p = claims.partition.parts
+
+    def independent(s):
+        return not any(g.contains(*t) for t in combinations(sorted(s), 3))
+
+    # two parts plus the apex always catch a two-part triple
+    assert not independent(set(p[0]) | set(p[1]) | {apex})
+    # one vertex per part spans only the tripartite non-edge
+    assert independent({p[0][0], p[1][0], p[2][0]})
+    # adding the apex to a transversal picks up its cross-pair link triples
+    assert not independent({apex, p[0][0], p[1][0], p[2][0]})
 
 
 # -- serialization -------------------------------------------------------------
