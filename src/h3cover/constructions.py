@@ -7,8 +7,8 @@ are never trusted downstream: the analysis module re-measures all of them.
 
 Each family but the Steiner systems is a rule on part labels, built by one
 private builder from the part sizes, the apex flag and the allowed label
-triples, with the triples of ``f1_variant``'s pair set flipped; it writes the
-edge array beside the bitmap, so a new graph never decodes its bitmap.
+triples, with the triples of ``f1_variant``'s pair set flipped; core's one rank
+decoder reads the edge flags the bitmap is packed from, never the bitmap.
 ``sts`` pairs ``steiner`` with claims naming one part of all t vertices.
 
 Layout convention: parts are contiguous index ranges starting at 0 and the
@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import Hypergraph3, _binomials, _with_rows, triple_rank
+from .core import Hypergraph3, _binomials, _rows, _with_rows, triple_rank
 
 __all__ = [
     "Tripartition",
@@ -217,19 +217,15 @@ def _build(
     # slice ok[lab[c]], indexed by lab[a] * k + lab[b], flags the pairs below c
     ok = np.zeros((k, k, k), dtype=bool)
     ok[tuple(np.sort(allowed, axis=1).T[[2, 0, 1]])] = True
-    b_of, a_of = (v.astype(np.int16) for v in np.tril_indices(n, -1))  # the pairs a < b in colex order
-    code = lab[a_of] * k + lab[b_of]
+    code = (lab * k + lab[:, None])[np.tril_indices(n, -1)]  # the pairs a < b in colex order
     c2, c3 = _binomials(n)
     for c in range(2, n):  # the ranks with top vertex c are C(c,3) plus the C(c,2) pair ranks below c
         np.take(ok[lab[c]].ravel(), code[:c2[c]], out=flags[c3[c]:c3[c] + c2[c]], mode="clip")
     flags[np.fromiter(swaps, np.intp)] ^= True
     bits = int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-    ranks = np.flatnonzero(flags)
-    top = np.repeat(np.arange(n, dtype=np.int16), np.diff(np.searchsorted(ranks, c3), append=len(ranks)))
-    ranks -= c3[top]  # the pair ranks
     claims = ConstructionClaims(name, n, min_codegree, tuple(uncovered),
                                 Tripartition(n - 1 if apex else None, parts), pattern_hint, params)
-    return _with_rows(n, bits, np.stack([a_of[ranks], b_of[ranks], top], axis=1)), claims
+    return _with_rows(n, bits, _rows(n, np.flatnonzero(flags))), claims
 
 
 def _triples_over(k: int, distinct) -> list[tuple[int, int, int]]:

@@ -9,11 +9,12 @@ is the colexicographic rank, so {0,1,2} is bit 0 and {n-3,n-2,n-1} is bit
 C(n,3)-1.  That integer is the canonical, hashable value; graphs are
 immutable and safe to share across threads.  One decode path serves every
 view: a graph turns its set bits (the edge ranks) into an int16 array of
-triples once, lazily, by binary search in the binomial columns C(v,2), C(v,3)
-(``edge_array``).  Reading and building skip it: the array of a graph read is
-the rows of one ``np.loadtxt`` call, put in rank order (numpy parses the file
-``load_h3`` names in chunks, the text given to ``loads_h3`` line by line), and
-a construction writes its rows from the edge flags its bitmap is packed from.
+triples once, lazily, in blocks of one top vertex c from rank C(c,3), with a
+colex pair table for the rest (``edge_array``); a construction decodes the
+edge flags its bitmap is packed from the same way.  A text read skips it:
+the array of a graph read is the rows of one ``np.loadtxt`` call, put in
+rank order (numpy parses the file ``load_h3`` names in chunks, the text
+given to ``loads_h3`` line by line).
 ``dumps_h3`` is a numpy pass over it: it gathers each block of rows' text
 cells from a per-vertex table of NUL-padded byte strings in one index and
 drops the block's padding.  ``contains`` reads one bit; ``from_triples``
@@ -37,7 +38,7 @@ Two interchangeable text encodings are supported by ``dumps_h3``/``loads_h3``:
   bare ``\r``, as in a text-mode read.  Edges are written in colex order; an
   edge listed twice is an error.
 * hex form: a header line ``n: <vertices>`` followed by the raw edge bitmap
-  as a hex string (most significant digits first; may wrap over lines).
+  as a hex string (most significant digits first; may wrap at line ends only).
 
 Both forms round-trip bit-exactly.  Their numbers are ASCII digits (hex digits in
 the bitmap) between ASCII whitespace, with no sign, ``_`` or ``0x`` prefix.
@@ -85,17 +86,18 @@ def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (v * (v - 1) // 2).astype(np.int32), v * (v - 1) * (v - 2) // 6
 
 
-def _unrank(n: int, ranks: np.ndarray) -> np.ndarray:
-    """(len(ranks), 3) int16 array of the sorted triples with the given colex
-    ranks: the largest vertex is found in the binomial column by binary
-    search, the rest of the rank ranks the smaller two the same way."""
-    c2, c3 = _binomials(n)
+def _rows(n: int, ranks: np.ndarray) -> np.ndarray:
+    """(m, 3) int16 array of the sorted triples with the given ascending int64 colex
+    ranks, which become pair ranks in place: the ranks with top vertex c are a block
+    from C(c,3), and a colex table of the pairs up to the largest top vertex reads the rest."""
+    c2, c3 = _binomials(n + 1)
+    k = int(np.searchsorted(c3, ranks[-1], side="right")) if len(ranks) else 0  # the top vertices are below k
+    top = np.repeat(np.arange(k, dtype=np.int16), np.diff(np.searchsorted(ranks, c3[:k + 1])))
+    ranks -= c3[top]
+    b_of = np.repeat(np.arange(k, dtype=np.int16), np.arange(k))  # b repeated over its b pair ranks from C(b,2)
+    a_of = (np.arange(len(b_of)) - c2[b_of]).astype(np.int16)
     out = np.empty((len(ranks), 3), dtype=np.int16)
-    rest = ranks.astype(np.int64)
-    for col, binom in ((2, c3), (1, c2)):
-        out[:, col] = np.searchsorted(binom, rest, side="right") - 1
-        rest -= binom[out[:, col]]
-    out[:, 0] = rest
+    out[:, 0], out[:, 1], out[:, 2] = a_of[ranks], b_of[ranks], top
     return out
 
 
@@ -174,7 +176,7 @@ class Hypergraph3:
         """The edges as a read-only (m, 3) int16 array of sorted triples, in colex order."""
         if self._triples is None:
             # the one decode: the bitmap's set bits are the edge ranks
-            self._triples = _unrank(self.n, _set_bits(self._bitmap_bytes()))
+            self._triples = _rows(self.n, _set_bits(self._bitmap_bytes()))
             self._triples.flags.writeable = False
         return self._triples
 
@@ -360,13 +362,13 @@ def loads_h3(text: str) -> Hypergraph3:
     return _read_h3(text)
 
 
-_DIGITS, _SPACE = b"0123456789", b" \t\n\r\v\f\x1c\x1d\x1e\x1f"
+_DIGITS, _SPACE = "0123456789", " \t\n\r\v\f\x1c\x1d\x1e\x1f"
 
 
-def _only(text: str, chars: bytes, what: str) -> str:
+def _only(text: str, chars: str, what: str) -> str:
     """text, if it holds no character outside the ASCII chars: int() also takes signs, '_',
     a 0x prefix and non-ASCII digits, loadtxt signs, and some numpy versions cast 1.9 to int"""
-    if bad := text.encode().translate(None, chars):
+    if bad := text.encode().translate(None, chars.encode()):
         raise ValueError(f"{what}, found {bad.decode()[0]!r}")
     return text
 
@@ -399,8 +401,9 @@ def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
         raise ValueError(f"bad header line {head!r}: expected 'n m' or 'n: <count>'")
     n, m = _count(counts[0]), _count(counts[-1])
     if hexform:
-        body = _only(body, _DIGITS + b"abcdefABCDEF" + _SPACE, "the bitmap holds only hex digits")
-        hexstr = "".join(line.strip() for line in body.splitlines())
+        # a line ends at \n alone (loads_h3 turns \r\n and \r into it); str.strip() would take a non-ASCII space
+        hexstr = _only("".join(line.strip(_SPACE) for line in body.split("\n")), _DIGITS + "abcdefABCDEF",
+                       "a bitmap line holds only hex digits, with whitespace only around them")
         return Hypergraph3(n, int(hexstr, 16) if hexstr else 0)
     _only(body, _DIGITS + _SPACE, "edge lines hold only unsigned decimal vertices")
     # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body; it reads

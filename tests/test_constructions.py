@@ -474,10 +474,10 @@ def test_built_graphs_are_never_decoded(monkeypatch):
     base = pattern("K4-").graph
     base.pair_masks()
 
-    def no_decode(n, ranks):
+    def no_decode(raw):
         raise AssertionError("a constructed graph decoded its bitmap")
 
-    monkeypatch.setattr(core, "_unrank", no_decode)
+    monkeypatch.setattr(core, "_set_bits", no_decode)
     built = [maker(14)[0] for maker in (f1, f2, f3, f4, f32_tripartite, fano_bipartite)]
     built += [blow_up(base, 3)[0], f1_variant("2", admissible_sample("2", 14, 3), 14)[0],
               f1_variant("2p", admissible_sample("2p", 14, 4), 14)[0]]

@@ -57,16 +57,43 @@ def test_rank_unrank_roundtrip(r):
         lambda bc: st.tuples(st.integers(0, bc[0]), st.just(bc[0] + 1), st.just(bc[1])))))
 def test_unrank_large_triples(t):
     a, b, c = t
-    assert core._unrank(c + 1, np.array([triple_rank(a, b, c)])).tolist() == [[a, b, c]]
+    assert core._rows(c + 1, np.array([triple_rank(a, b, c)])).tolist() == [[a, b, c]]
 
 
 def test_unrank_block_boundaries():
     # the first and last rank with each largest vertex c
     c = np.arange(2, 3000)
-    first = core._unrank(3000, c * (c - 1) * (c - 2) // 6)
-    last = core._unrank(3000, (c + 1) * c * (c - 1) // 6 - 1)
+    first = core._rows(3000, c * (c - 1) * (c - 2) // 6)
+    last = core._rows(3000, (c + 1) * c * (c - 1) // 6 - 1)
     assert first.tolist() == [[0, 1, v] for v in c.tolist()]
     assert last.tolist() == [[v - 2, v - 1, v] for v in c.tolist()]
+
+
+def test_rows_agree_with_triple_rank():
+    # random ascending rank sets, the empty one included; a sparse set leaves top vertices with no rank
+    rng = random.Random(28)
+    for n in range(41):
+        triples = list(combinations(range(n), 3))
+        for size in {0, min(1, len(triples)), len(triples) // 7, len(triples)}:
+            want = sorted(rng.sample(triples, size), key=lambda t: triple_rank(*t))
+            ranks = np.array([triple_rank(*t) for t in want], dtype=np.int64)
+            rows = core._rows(n, ranks)
+            assert rows.dtype == np.int16 and rows.shape == (size, 3)
+            assert list(map(tuple, rows.tolist())) == want, (n, size)
+
+
+@pytest.mark.parametrize("n", [30_000, 40_000])
+def test_sparse_host_on_many_vertices_decodes_in_little_memory(n):
+    # the pair table is sized by the largest top vertex present; one sized by n takes gigabytes
+    g = Hypergraph3(n, 1 | 1 << 4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        t = g.edge_array()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert t.tolist() == [[0, 1, 2], [0, 1, 4]] and peak < 4_000_000
 
 
 def test_ranks_enumerate_all_triples():
@@ -311,10 +338,10 @@ def test_loaded_graph_is_never_decoded(monkeypatch):
     texts = [dumps_h3(g), _shuffled(dumps_h3(g), random.Random(13))]
     edges, masks = g.edge_array(), g.pair_masks()
 
-    def no_decode(n, ranks):
+    def no_decode(raw):
         raise AssertionError("a graph read from .h3 text decoded its bitmap")
 
-    monkeypatch.setattr(core, "_unrank", no_decode)
+    monkeypatch.setattr(core, "_set_bits", no_decode)
     for text in texts:
         loaded = loads_h3(text)
         assert np.array_equal(loaded.edge_array(), edges) and loaded.pair_masks() == masks
@@ -363,6 +390,18 @@ def test_hex_header_without_one_count_is_named(text):
     assert loads_h3("n:4\n3\n") == loads_h3("n: 4\n3\n") == Hypergraph3(4, 3)
 
 
+@pytest.mark.parametrize("space", [" ", "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f"])
+def test_hex_line_with_inner_whitespace_is_named(space, tmp_path):
+    # a bitmap line ends at a line end only; int() would report the rest in its own words
+    text = f"n: 8\nf{space}f\n"
+    (tmp_path / "g.h3").write_text(text, encoding="ascii")
+    for read in (lambda: loads_h3(text), lambda: load_h3(tmp_path / "g.h3")):
+        with pytest.raises(ValueError) as exc:
+            read()
+        assert "invalid literal" not in str(exc.value)
+        assert str(exc.value).startswith("a bitmap line holds only hex digits")
+
+
 def test_loads_rejects_duplicate_edge_lines():
     with pytest.raises(ValueError, match="0 1 2 is listed twice"):
         loads_h3("12 2\n0 1 2\n0 1 2\n")
@@ -383,7 +422,8 @@ def test_loads_blank_and_commented_lines():
     "# K4 less 023\n4 3\n0 1 2\n0 1 3\n1 2 3\n",
     "4 3 # n m\n0 1 2\n# the last two\n0 1 3\n1 2 3",
     "n: 4\n# K4 less 023\nb\n",
-], ids=["edges", "edges_inner_comment", "hex"])
+    "n: 4\n 0\t\n\x1cb\x1f\n",
+], ids=["edges", "edges_inner_comment", "hex", "hex_wrapped"])
 def test_loads_reads_every_line_end_alike(text):
     # a line ends at \n, \r\n or a bare \r, as in a text-mode read; a comment runs to the line end only
     want = Hypergraph3.from_triples(4, [(0, 1, 2), (0, 1, 3), (1, 2, 3)])
