@@ -7,8 +7,8 @@ are never trusted downstream: the analysis module re-measures all of them.
 
 Each family but the Steiner systems is a rule on part labels, built by one
 private builder from the part sizes, the apex flag and the allowed label
-triples, with the triples of ``f1_variant``'s pair set flipped; core's one rank
-decoder reads the edge flags the bitmap is packed from, never the bitmap.
+triples, with the triples of ``f1_variant``'s pair set flipped; core packs
+the edge flags into the bitmap and decodes the flags, never the bitmap.
 ``sts`` pairs ``steiner`` with claims naming one part of all t vertices.
 
 Layout convention: parts are contiguous index ranges starting at 0 and the
@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import Hypergraph3, _binomials, _rows, _with_rows, triple_rank
+from .core import Hypergraph3, _binomials, _pack, _rows, _with_rows, triple_rank
 
 __all__ = [
     "Tripartition",
@@ -222,10 +222,9 @@ def _build(
     for c in range(2, n):  # the ranks with top vertex c are C(c,3) plus the C(c,2) pair ranks below c
         np.take(ok[lab[c]].ravel(), code[:c2[c]], out=flags[c3[c]:c3[c] + c2[c]], mode="clip")
     flags[np.fromiter(swaps, np.intp)] ^= True
-    bits = int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
     claims = ConstructionClaims(name, n, min_codegree, tuple(uncovered),
                                 Tripartition(n - 1 if apex else None, parts), pattern_hint, params)
-    return _with_rows(n, bits, _rows(n, np.flatnonzero(flags))), claims
+    return _with_rows(n, _pack(flags), _rows(n, np.flatnonzero(flags))), claims
 
 
 def _triples_over(k: int, distinct) -> list[tuple[int, int, int]]:
@@ -402,8 +401,11 @@ def sts(t: int) -> tuple[Hypergraph3, ConstructionClaims]:
 def _clique_number(h: Hypergraph3) -> int:
     """The most vertices whose triples are all edges (any two vertices count), by
     a depth-first search that extends a clique only by later vertices in the AND
-    of its pair-table entries, while it and its candidates could beat the best."""
-    rows, best = h.pair_masks(), 0
+    of its pair-table entries, while it and its candidates could beat the best.
+    Once the cliques through v are searched, v's later twins leave the
+    candidates: the swap with one fixes the clique (all below v) and maps a
+    clique through it, not v, onto one through v."""
+    rows, twins, best = h.pair_masks(), h.twin_classes(), 0
 
     def grow(clique: list[int], cand: int) -> None:
         nonlocal best
@@ -415,6 +417,7 @@ def _clique_number(h: Hypergraph3) -> int:
             for u in clique:
                 later &= rows[u][v]
             grow(clique + [v], later)
+            cand &= ~twins.get(v, 0)
 
     grow([], (1 << h.n) - 1)
     return best
@@ -436,7 +439,7 @@ def blow_up(h: Hypergraph3, factor: int) -> tuple[Hypergraph3, ConstructionClaim
     m = h.n
     n = factor * m + 1
     allowed = _triples_over(m, lambda d: d < 3)
-    allowed += [t for t in combinations(range(m), 3) if h.contains(*t)]
+    allowed += h.edge_array().tolist()
     allowed += [(i, j, m) for i, j in combinations(range(m), 2)]
     return _build("blowup", n, [factor] * m, True, allowed, (h.min_codegree() + 2) * factor - 1,
                   (n - 1,), f"K{_clique_number(h) + 2}", (("factor", factor), ("base_n", m)))

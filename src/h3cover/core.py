@@ -6,19 +6,20 @@ set exactly when the triple is an edge, where
     rank({a<b<c}) = a + C(b,2) + C(c,3)
 
 is the colexicographic rank, so {0,1,2} is bit 0 and {n-3,n-2,n-1} is bit
-C(n,3)-1.  That integer is the canonical, hashable value; graphs are
-immutable and safe to share across threads.  One decode path serves every
-view: a graph turns its set bits (the edge ranks) into an int16 array of
-triples once, lazily, in blocks of one top vertex c from rank C(c,3), with a
-colex pair table for the rest (``edge_array``); a construction decodes the
-edge flags its bitmap is packed from the same way.  A text read skips it:
-the array of a graph read is the rows of one ``np.loadtxt`` call, put in
-rank order (numpy parses the file ``load_h3`` names in chunks, the text
-given to ``loads_h3`` line by line).
-``dumps_h3`` is a numpy pass over it: it gathers each block of rows' text
-cells from a per-vertex table of NUL-padded byte strings in one index and
-drops the block's padding.  ``contains`` reads one bit; ``from_triples``
-ranks whole vertex arrays at once.
+C(n,3)-1.  That integer is the canonical, hashable value; graphs are immutable
+and safe to share across threads.  One codec converts it to and from one bool
+flag per rank: ``_pack`` packs flags into the int, and ``_set_bits`` unpacks
+its bytes at once and returns the set flags, the edge ranks.  One decode path
+serves every view: a graph turns its edge ranks into an int16 array of triples
+once, lazily, in blocks of one top vertex c from rank C(c,3), with a colex pair
+table for the rest (``edge_array``); a construction decodes the flags it packs
+the same way.  A text read skips it: the array of a graph read is the rows of
+one ``np.loadtxt`` call, put in rank order (numpy parses the file ``load_h3``
+names in chunks, the text given to ``loads_h3`` line by line).  ``dumps_h3`` is
+a numpy pass over it: it gathers each block of rows' text cells from a
+per-vertex table of NUL-padded byte strings in one index and drops the block's
+padding.  ``contains`` reads one bit of the int; ``from_triples`` ranks whole
+vertex arrays at once.
 
 Every pair query reads one table, built lazily from the same array
 (``pair_masks``): the edges flag a bool matrix of pairs by vertices in one
@@ -115,19 +116,22 @@ def _rank_rows(n: int, t: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _pack(flags: np.ndarray) -> int:
+    """The bitmap whose bit r is flags[r]: the one conversion from rank flags to an edge bitmap."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def _bitmap(ranks: np.ndarray) -> int:
     """The int with exactly the bits at the given positions set."""
     flags = np.zeros(int(ranks.max()) + 1 if len(ranks) else 0, dtype=bool)
     flags[ranks] = True
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+    return _pack(flags)
 
 
-def _set_bits(raw: bytes) -> np.ndarray:
-    """Ascending positions of the set bits of a little-endian bitmap."""
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    nonzero = np.flatnonzero(buf)
-    byte, bit = np.nonzero(np.unpackbits(buf[nonzero, None], axis=1, bitorder="little"))
-    return nonzero[byte] * 8 + bit
+def _set_bits(bits: int) -> np.ndarray:
+    """Ascending positions of the set bits of a bitmap: one flag per bit up to the highest, unpacked at once."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 def _with_rows(n: int, bits: int, t: np.ndarray) -> "Hypergraph3":
@@ -141,7 +145,7 @@ def _with_rows(n: int, bits: int, t: np.ndarray) -> "Hypergraph3":
 class Hypergraph3:
     """An immutable 3-graph: a vertex count and an edge bitmap."""
 
-    __slots__ = ("n", "bits", "_raw", "_triples", "_pair_masks", "_codegrees", "_twins")
+    __slots__ = ("n", "bits", "_triples", "_pair_masks", "_codegrees", "_twins")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
@@ -150,7 +154,6 @@ class Hypergraph3:
             raise ValueError(f"edge bitmap does not fit in {comb(n, 3)} bits")
         self.n = n
         self.bits = bits
-        self._raw: Optional[bytes] = None
         self._triples: Optional[np.ndarray] = None
         self._pair_masks: Optional[tuple[tuple[int, ...], ...]] = None
         self._codegrees: Optional[np.ndarray] = None  # n x n (n on the diagonal), with the pair table
@@ -166,17 +169,11 @@ class Hypergraph3:
             raise ValueError(f"not a sequence of vertex triples (array shape {t.shape})")
         return cls(n, _bitmap(_rank_rows(n, t.reshape(-1, 3))))
 
-    def _bitmap_bytes(self) -> bytes:
-        # little-endian, up to the byte holding the highest edge
-        if self._raw is None:
-            self._raw = self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little")
-        return self._raw
-
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (m, 3) int16 array of sorted triples, in colex order."""
         if self._triples is None:
             # the one decode: the bitmap's set bits are the edge ranks
-            self._triples = _rows(self.n, _set_bits(self._bitmap_bytes()))
+            self._triples = _rows(self.n, _set_bits(self.bits))
             self._triples.flags.writeable = False
         return self._triples
 
@@ -186,8 +183,7 @@ class Hypergraph3:
         """Edge membership; invariant under permutation of the arguments."""
         if len({a, b, c}) != 3 or not all(0 <= v < self.n for v in (a, b, c)):
             raise ValueError(f"not a valid triple on {self.n} vertices: {(a, b, c)}")
-        r, raw = triple_rank(a, b, c), self._bitmap_bytes()
-        return r >> 3 < len(raw) and raw[r >> 3] >> (r & 7) & 1 == 1
+        return self.bits >> triple_rank(a, b, c) & 1 == 1
 
     @property
     def num_edges(self) -> int:
@@ -409,7 +405,7 @@ def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
     # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body; it reads
     # a named file in chunks, skipping the lines up to the header, and any other source line by line
     t = np.zeros((0, 3), np.int16)
-    if body.strip():  # int16, as the edge array: a larger vertex raises
+    if body and not body.isspace():  # int16, as the edge array: a larger vertex raises
         source, skip = (path, text.count("\n", 0, text.index(head)) + 1) if path else (io.StringIO(body), 0)
         del text, body  # the text is dead before the parse
         t = np.loadtxt(source, dtype=np.int16, ndmin=2, skiprows=skip, encoding="ascii")

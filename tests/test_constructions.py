@@ -276,6 +276,27 @@ def test_clique_number_matches_brute_force():
             assert constructions._clique_number(h) == oracles.clique_number(h), (n, h.bits)
 
 
+def _hosts_with_twins():
+    yield from (f1(n)[0] for n in range(4, 13))
+    yield from (family(n)[0] for family in (f3, f4) for n in range(6, 11))
+    yield from (blow_up(pattern(name).graph, factor)[0] for name in ("K4-", "C5") for factor in (2, 3))
+
+
+def test_clique_number_matches_brute_force_on_hosts_with_twins():
+    # a later twin of a searched vertex leaves the candidates; random hosts rarely have twins
+    for h in _hosts_with_twins():
+        assert h.twin_classes()
+        assert constructions._clique_number(h) == oracles.clique_number(h), (h.n, h.bits)
+
+
+def test_blow_up_hint_of_f1_62_is_quick():
+    # f1's parts are twin classes: two-part cliques of 42 vertices, plus the apex
+    t0 = time.perf_counter()
+    _, claims = blow_up(f1(62)[0], 1)
+    assert claims.pattern_hint == "K43"
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_blow_up_hint_of_a_large_base_is_quick():
     # the largest clique of f4(30) is its second half: 15 vertices, so K17
     t0 = time.perf_counter()

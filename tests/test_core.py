@@ -108,6 +108,39 @@ def test_bitmap_sets_exactly_the_given_ranks(ranks):
     assert core._bitmap(np.array(ranks, dtype=np.int64)) == sum(1 << r for r in set(ranks))
 
 
+@given(st.lists(st.booleans(), max_size=300), st.integers(0, 20))
+def test_set_bits_unpacks_what_pack_packs(flags, pad):
+    # trailing False flags leave no bit, and the empty array packs to 0
+    flags = np.array(flags + [False] * pad, dtype=bool)
+    ranks = core._set_bits(core._pack(flags))
+    assert ranks.dtype == np.int64 and np.array_equal(ranks, np.flatnonzero(flags))
+
+
+@pytest.mark.parametrize("n", range(40, 121, 16))
+def test_edge_array_matches_rows_ranked_by_triple_rank(n):
+    # dense and sparse random bitmaps, the top rank alone and the empty bitmap, each built a
+    # character per rank, against their triples in triple_rank order
+    rng = random.Random(n)
+    ranked = sorted(combinations(range(n), 3), key=lambda t: triple_rank(*t))
+    for keep in ([rng.random() < 0.5 for _ in ranked], [rng.random() < 0.002 for _ in ranked],
+                 [r == len(ranked) - 1 for r in range(len(ranked))], [False] * len(ranked)):
+        bits = int("".join("1" if k else "0" for k in reversed(keep)), 2)
+        want = [t for t, k in zip(ranked, keep) if k]
+        assert list(map(tuple, Hypergraph3(n, bits).edge_array().tolist())) == want, n
+
+
+def test_contains_above_the_highest_edge():
+    # the bitmap ends far below rank C(n,3) - 1: every triple above its highest edge reads False
+    rng = random.Random(29)
+    g = Hypergraph3(30, sum(1 << r for r in range(300) if rng.random() < 0.3))
+    edges = set(oracles.triples_of(g))
+    assert all(g.contains(*t) == (t in edges) for t in combinations(range(30), 3))
+    assert not g.contains(27, 28, 29)
+    for t in ((0, 1, 30), (-1, 1, 2), (0, 0, 1)):
+        with pytest.raises(ValueError):
+            g.contains(*t)
+
+
 # -- from_triples --------------------------------------------------------------
 
 
@@ -416,6 +449,13 @@ def test_loads_blank_and_commented_lines():
     assert list(g.edges()) == [(0, 1, 2), (2, 3, 4)]
     assert loads_h3("6 0\n  \n") == Hypergraph3(6, 0)
     assert list(loads_h3("4 1\n0\x1c1\v2\f\n\x1f\n").edges()) == [(0, 1, 2)]  # ASCII whitespace separates
+
+
+@pytest.mark.parametrize("space", core._SPACE)
+def test_blank_body_of_one_space_reads_as_no_edges(space):
+    # a body of whitespace alone never reaches loadtxt, which warns on it
+    for text in (f"5 0\n{space}", f"5 0\n{space * 3}"):
+        assert loads_h3(text) == core._read_h3(text) == Hypergraph3(5, 0)
 
 
 @pytest.mark.parametrize("text", [
