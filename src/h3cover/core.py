@@ -9,25 +9,28 @@ is the colexicographic rank, so {0,1,2} is bit 0 and {n-3,n-2,n-1} is bit
 C(n,3)-1.  That integer is the canonical, hashable value; graphs are immutable
 and safe to share across threads.  One codec converts it to and from one bool
 flag per rank: ``_pack`` packs flags into the int, and ``_set_bits`` unpacks
-its bytes at once and returns the set flags, the edge ranks.  One decode path
-serves every view: a graph turns its edge ranks into an int16 array of triples
-once, lazily, in blocks of one top vertex c from rank C(c,3), with a colex pair
-table for the rest (``edge_array``); a construction decodes the flags it packs
-the same way.  A text read skips it: the array of a graph read is the rows of
-one ``np.loadtxt`` call, put in rank order (numpy parses the file ``load_h3``
-names in chunks, the text given to ``loads_h3`` line by line).  ``dumps_h3`` is
-a numpy pass over it: it gathers each block of rows' text cells from a
-per-vertex table of NUL-padded byte strings in one index and drops the block's
-padding.  ``contains`` reads one bit of the int; ``from_triples`` ranks whole
-vertex arrays at once.
+its bytes at once and returns the set flags, the edge ranks.  Every view reads
+one int16 array of triples in colex order, built once, lazily (``edge_array``).
+Its build is chosen by size: a graph on at most ``_SMALL_N`` vertices scans its
+C(n,3) ranks in colex order in Python and hands numpy the edges in one call;
+a larger one decodes its edge ranks in blocks of one top vertex c from rank
+C(c,3), with a colex pair table for the rest, and a construction decodes the
+flags it packs the same way.  A text read skips both: the array of a graph read
+is the rows of one ``np.loadtxt`` call, put in rank order (numpy parses the file
+``load_h3`` names in chunks, the text given to ``loads_h3`` line by line).
+``dumps_h3`` is a numpy pass over it: it gathers each block of rows' text cells
+from a per-vertex table of NUL-padded byte strings in one index and drops the
+block's padding.  ``contains`` reads one bit of the int; ``from_triples`` ranks
+whole vertex arrays at once.
 
-Every pair query reads one table, built lazily from the same array
-(``pair_masks``): the edges flag a bool matrix of pairs by vertices in one
-flat scatter per pair column, ``np.packbits`` packs each row into 64-bit
-words, and each word column becomes Python ints at once.  Entry [u][v] is the
+Every pair query reads one table, built lazily (``pair_masks``).  Above
+``_SMALL_N`` vertices the edge array flags a bool matrix of pairs by vertices in
+one flat scatter per pair column, ``np.packbits`` packs each row into 64-bit
+words, and each word column becomes Python ints at once; a smaller graph ORs
+the bits of its scanned edges into the entries in Python.  Entry [u][v] is the
 vertex bitmap of the joint neighbourhood of u and v.  ``pair_mask`` and
 ``codegree`` read one entry, and ``min_codegree`` the least of the codegrees
-one popcount of the words counts; a ``LinkGraph`` is one row, and the
+counted while the table is built; a ``LinkGraph`` is one row, and the
 embedding searches of ``patterns`` index the table directly.  The same table
 splits the vertices into twin classes (``twin_classes``), cached beside it.
 
@@ -128,6 +131,18 @@ def _bitmap(ranks: np.ndarray) -> int:
     return _pack(flags)
 
 
+# Up to this many vertices a graph builds its edge rows and pair table in Python from the bitmap.
+# Both builds timed for n = 5..20 at densities 0.1 to 1: the Python one is the faster up to n = 13
+# in freshly imported code, where each numpy call is slow the first time, and up to n = 9 warmed up
+_SMALL_N = 9
+
+
+def _colex_edges(n: int, bits: int) -> list[tuple[int, int, int]]:
+    """The edges of a small graph as sorted triples: one scan of the C(n,3) ranks in colex order."""
+    colex = ((a, b, c) for c in range(n) for b in range(c) for a in range(b))
+    return [t for r, t in enumerate(colex) if bits >> r & 1]
+
+
 def _set_bits(bits: int) -> np.ndarray:
     """Ascending positions of the set bits of a bitmap: one flag per bit up to the highest, unpacked at once."""
     raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
@@ -172,8 +187,10 @@ class Hypergraph3:
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (m, 3) int16 array of sorted triples, in colex order."""
         if self._triples is None:
-            # the one decode: the bitmap's set bits are the edge ranks
-            self._triples = _rows(self.n, _set_bits(self.bits))
+            if self.n <= _SMALL_N:
+                self._triples = np.array(_colex_edges(self.n, self.bits), dtype=np.int16).reshape(-1, 3)
+            else:  # the bitmap's set bits are the edge ranks
+                self._triples = _rows(self.n, _set_bits(self.bits))
             self._triples.flags.writeable = False
         return self._triples
 
@@ -198,7 +215,18 @@ class Hypergraph3:
     def pair_masks(self) -> tuple[tuple[int, ...], ...]:
         """The pair table: entry [u][v] is the vertex bitmap of the w such that
         uvw is an edge, the same int object as [v][u]; entry [u][u] is 0."""
-        if self._pair_masks is None:
+        if self._pair_masks is None and self.n <= _SMALL_N:
+            n, table = self.n, [[0] * self.n for _ in range(self.n)]
+            for a, b, c in _colex_edges(n, self.bits):
+                table[a][b] |= 1 << c
+                table[a][c] |= 1 << b
+                table[b][c] |= 1 << a
+            for u in range(1, n):  # below the diagonal, the same ints as above it
+                table[u][:u] = [row[u] for row in table[:u]]
+            counts = [[m.bit_count() if u != v else n for v, m in enumerate(row)] for u, row in enumerate(table)]
+            self._codegrees = np.array(counts, dtype=np.int64).reshape(n, n)
+            self._pair_masks = tuple(map(tuple, table))
+        elif self._pair_masks is None:
             # row r flags the neighbours of the pair of rank r; row C(n,2) stays 0 for the diagonal
             n, t, rows = self.n, self.edge_array(), comb(self.n, 2) + 1
             c2, at = _binomials(n)[0], np.empty(len(t), dtype=np.intp)

@@ -92,17 +92,19 @@ def degeneracy(g: Hypergraph3) -> tuple[int, tuple[int, ...]]:
     """
     if g.num_edges == 0:
         raise ValueError("degeneracy needs at least one edge")
-    alive = set(range(g.n))
-    edges = list(g.edges())
+    # deg[v] counts the live edges through v: each pair vu's popcount counts an edge vuw twice, and
+    # deleting x takes from each live v the live vertices of its pair table entry with x
+    rows, alive = g.pair_masks(), (1 << g.n) - 1
+    deg = [sum(m.bit_count() for m in row) // 2 for row in rows]
     order_rev: list[int] = []
     r = 0
     while alive:
-        deg = {v: sum(v in e for e in edges if alive.issuperset(e)) for v in alive}
-        min_deg = min(deg.values())
-        r = max(r, min_deg)
-        pick = min(v for v, d in deg.items() if d == min_deg)
+        pick = min(_iter_bits(alive), key=deg.__getitem__)  # the first least, the lowest index
+        r = max(r, deg[pick])
         order_rev.append(pick)
-        alive.remove(pick)
+        alive &= ~(1 << pick)
+        for v in _iter_bits(alive):
+            deg[v] -= (rows[v][pick] & alive).bit_count()
     return r, tuple(reversed(order_rev))
 
 

@@ -93,6 +93,24 @@ def uncovered(host, pat):
     return tuple(x for x in range(host.n) if not embeds_through(host, x, pat))
 
 
+def degeneracy(g):
+    """(r, ordering) by elimination, every edge rescanned at each step: delete the live vertex of
+    least live degree, the lowest on a tie; r is the largest degree deleted, the ordering the
+    deletions reversed."""
+    edges, alive, order_rev, r = triples_of(g), set(range(g.n)), [], 0
+    while alive:
+        deg = dict.fromkeys(alive, 0)
+        for e in edges:
+            if alive.issuperset(e):
+                for v in e:
+                    deg[v] += 1
+        pick = min(alive, key=lambda v: (deg[v], v))
+        r = max(r, deg[pick])
+        order_rev.append(pick)
+        alive.remove(pick)
+    return r, tuple(reversed(order_rev))
+
+
 def degeneracy_r(g):
     """Max over all edge subsets of the min degree on the subset's support."""
     edges = triples_of(g)

@@ -233,6 +233,27 @@ def test_c2_exact_table(name, n, value, bits, vertex):
     assert not oracles.embeds_through(host, n - 1, pattern(name))
 
 
+def test_small_graphs_are_built_without_the_numpy_decoder(monkeypatch):
+    # every catalog pattern and every graph of the n = 6 searches is within the size bound, so
+    # its rows and pair table come from its bitmap in Python; a larger graph still uses _rows
+    from h3cover import core, patterns
+
+    def numpy_decode(*args):
+        raise AssertionError("the numpy decoder ran")
+
+    monkeypatch.setattr(core, "_rows", numpy_decode)
+    monkeypatch.setattr(core, "_set_bits", numpy_decode)
+    patterns._catalog_pattern.cache_clear()
+    patterns._plan.cache_clear()
+    for name in patterns.CATALOG:
+        pattern(name)
+    for name, bits, scanned in (("K4", 227823, 127), ("K4-", 242467, 64), ("C5", 241500, 231)):
+        rep = c2_exact(pattern(name), 6)
+        assert (rep.witness.bits, rep.graphs_scanned) == (bits, scanned)
+    with pytest.raises(AssertionError, match="numpy decoder"):
+        Hypergraph3(core._SMALL_N + 1, 1).edge_array()
+
+
 def test_c2_exact_within_theorem_bracket():
     for n in (4, 5, 6):
         rep = c2_exact(pattern("K4"), n)

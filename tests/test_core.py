@@ -549,6 +549,28 @@ def test_twin_classes_of_large_hosts_match_swap_oracle(g):
     assert classes and g.twin_classes() == {v: sum(1 << u for u in c) for c in classes for v in c}
 
 
+@pytest.mark.parametrize("build", ["python", "numpy"])
+@pytest.mark.parametrize("n", range(core._SMALL_N + 3))
+def test_both_builds_match_oracles_across_the_size_bound(n, build, monkeypatch):
+    # each graph is built by the path the test picks: the scan of its ranks in Python, or _rows
+    # of the set bits and the numpy pair table; empty, sparse, dense and complete bitmaps
+    monkeypatch.setattr(core, "_SMALL_N", n if build == "python" else n - 1)
+    rng = random.Random(n)
+    for density in (0, 0.15, 0.85, 1):
+        g = Hypergraph3(n, sum(1 << r for r in range(comb(n, 3)) if rng.random() < density))
+        t = g.edge_array()
+        assert t.dtype == np.int16 and t.shape == (g.num_edges, 3) and not t.flags.writeable
+        assert t.tolist() == [list(e) for e in oracles.triples_of(g)]
+        table = g.pair_masks()
+        assert [list(row) for row in table] == oracles.pair_table(g)
+        assert all(type(table[u][v]) is int and table[u][v] is table[v][u] for u in range(n) for v in range(n))
+        assert np.diagonal(g._codegrees).tolist() == [n] * n
+        assert g.min_codegree() == oracles.min_codegree(g)
+        assert all(g.codegree(u, v) == oracles.codegree(g, u, v) for u, v in combinations(range(n), 2))
+        classes = [c for c in oracles.twin_classes(g) if len(c) > 1]
+        assert g.twin_classes() == {v: sum(1 << u for u in c) for c in classes for v in c}
+
+
 @settings(max_examples=150, deadline=None)
 @given(bitmaps())
 def test_decoded_views_match_oracles(g):

@@ -127,6 +127,24 @@ def test_degeneracy_matches_subgraph_oracle():
         assert p.r == oracles.degeneracy_r(p.graph), name
 
 
+def _seeded_graphs():
+    rng = random.Random(11)
+    for n in range(3, 16):
+        for density in (0.05, 0.3, 0.7, 1.0):
+            bits = sum(1 << r for r in range(comb(n, 3)) if rng.random() < density) or 1
+            yield Hypergraph3(n, bits)
+
+
+@pytest.mark.parametrize("g", [
+    *(pattern(name).graph for name in CATALOG),
+    Hypergraph3(43, (1 << comb(43, 3)) - 1),
+    *_seeded_graphs(),
+], ids=repr)
+def test_degeneracy_matches_edge_scan(g):
+    # the pair-table popcounts give the ordering of the elimination that rescans every edge
+    assert degeneracy(g) == oracles.degeneracy(g)
+
+
 def test_ordering_prefix_property():
     # x_i has at most r pattern edges falling inside {x_1..x_i}
     for name in CATALOG:
