@@ -428,21 +428,22 @@ def blow_up(h: Hypergraph3, factor: int) -> tuple[Hypergraph3, ConstructionClaim
 
     The apex link is every cross-part pair; cross-part triples follow the
     edges of h; every triple hitting some part twice is an edge.  Minimum
-    codegree (min_codegree(h) + 2) * factor - 1 (measured, not trusted as an
-    input).  The apex misses every complete pattern two larger than the
-    biggest clique of h.
+    codegree min((d + 2) * factor - 1, (h.n - 1) * factor) with d the measured
+    min_codegree(h): the least cross pair's and an apex pair's, the second less
+    only when h is complete and factor >= 2.  The apex misses every complete
+    pattern two larger than the biggest clique of h.
     """
     if factor < 1:
         raise ValueError("part size must be >= 1")
     if h.n < 3 or h.num_edges == 0:
         raise ValueError("base graph must be nonempty on >= 3 vertices")
-    m = h.n
-    n = factor * m + 1
+    m, n = h.n, factor * h.n + 1
     allowed = _triples_over(m, lambda d: d < 3)
     allowed += h.edge_array().tolist()
     allowed += [(i, j, m) for i, j in combinations(range(m), 2)]
-    return _build("blowup", n, [factor] * m, True, allowed, (h.min_codegree() + 2) * factor - 1,
-                  (n - 1,), f"K{_clique_number(h) + 2}", (("factor", factor), ("base_n", m)))
+    dmin = min((h.min_codegree() + 2) * factor - 1, (m - 1) * factor)
+    return _build("blowup", n, [factor] * m, True, allowed, dmin, (n - 1,), f"K{_clique_number(h) + 2}",
+                  (("factor", factor), ("base_n", m)))
 
 
 def fano_bipartite(n: int) -> tuple[Hypergraph3, ConstructionClaims]:

@@ -275,7 +275,8 @@ class Hypergraph3:
                 for v in _iter_bits(alike[profile[u]] & unseen & ~c):
                     cv, rv = codeg[v][:], list(rows[v])
                     cv[u], cv[v], rv[u], rv[v] = cv[v], cv[u], rv[v], rv[u]
-                    if codeg[u] == cv and set(map(int.__xor__, rows[u], rv)) <= {0, (1 << u) | (1 << v)}:
+                    if codeg[u] == cv and all(map({0, (1 << u) | (1 << v)}.__contains__,
+                                                  map(int.__xor__, rows[u], rv))):
                         c |= 1 << v
                 unseen &= ~c
                 if c & (c - 1):

@@ -291,33 +291,30 @@ def uncovered_vertices(host: Hypergraph3, pat: Pattern) -> tuple[int, ...]:
 def _plan(graph: Hypergraph3, anchors: tuple[int, ...]):
     """Static vertex order of the pattern graph from the anchors, most-constrained first.
 
+    After the anchors, the next vertex v maximises (sum |table[v][u] & placed|,
+    sum |table[v][u]|, -v) over placed u.  An edge closed on the placed vertices
+    counts twice in each sum and one touching them once in the second: the most
+    closed edges win, then the most touching edges, then the lowest index.
+
     Returns per-position (pattern_vertex, constraints, twin) where constraints
     are the pattern edges of that vertex whose other two endpoints appear
     earlier, as pairs of earlier positions, and twin is the latest earlier
     non-anchor position holding a twin of the vertex (-1 if none, and for
     every anchor), whose image the vertex's image must exceed.
     """
-    edges = tuple(graph.edges())
-    placed = list(anchors)
-    remaining = set(range(graph.n)) - set(anchors)
-    while remaining:
-        def score(v: int) -> tuple[int, int, int]:
-            full = sum(1 for e in edges if v in e and all(u in placed or u == v for u in e))
-            touch = sum(1 for e in edges if v in e and any(u in placed for u in e))
-            return (full, touch, -v)
-
-        nxt = max(remaining, key=score)
-        placed.append(nxt)
-        remaining.remove(nxt)
     table, twins = graph.pair_masks(), graph.twin_classes()
-    latest: dict[int, int] = {}
-    steps = []
-    for i, v in enumerate(placed):
-        cons = tuple((j, k) for j, k in combinations(range(i), 2) if table[placed[j]][placed[k]] >> v & 1)
-        twin = -1
-        if i >= len(anchors):
+    placed, done, latest, steps = [], 0, {}, []  # done: the bitmap of placed
+    for i in range(graph.n):
+        if i < len(anchors):
+            v, twin = anchors[i], -1
+        else:
+            v = max(_iter_bits(((1 << graph.n) - 1) & ~done), key=lambda w: (
+                sum((table[w][u] & done).bit_count() for u in placed),
+                sum(table[w][u].bit_count() for u in placed), -w))
             cls = twins.get(v, 1 << v)
-            twin = latest.get(cls, -1)
-            latest[cls] = i
+            twin, latest[cls] = latest.get(cls, -1), i
+        cons = tuple((j, k) for j, k in combinations(range(i), 2) if table[placed[j]][placed[k]] >> v & 1)
         steps.append((v, cons, twin))
+        placed.append(v)
+        done |= 1 << v
     return tuple(steps)

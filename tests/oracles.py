@@ -276,6 +276,34 @@ def twin_classes(g):
     return sorted({tuple(u for u in range(g.n) if u == v or (min(u, v), max(u, v)) in twins) for v in range(g.n)})
 
 
+def plan(g, anchors):
+    """The embedding plan from the anchors, every edge rescanned for each candidate: next comes
+    the vertex with the most edges closed on the placed ones, then the most edges touching them,
+    then the lowest index.  Each position lists the pairs of earlier positions that close an edge
+    with it, and the latest earlier non-anchor position holding a twin of it (-1 if none, and for
+    every anchor)."""
+    edges = triples_of(g)
+    placed = list(anchors)
+    remaining = set(range(g.n)) - set(anchors)
+    while remaining:
+        def score(v):
+            full = sum(1 for e in edges if v in e and all(u in placed or u == v for u in e))
+            touch = sum(1 for e in edges if v in e and any(u in placed for u in e))
+            return (full, touch, -v)
+
+        nxt = max(remaining, key=score)
+        placed.append(nxt)
+        remaining.remove(nxt)
+    edge_set, twins = set(edges), {v: c for c in twin_classes(g) for v in c}
+    steps = []
+    for i, v in enumerate(placed):
+        cons = tuple((j, k) for j, k in combinations(range(i), 2)
+                     if tuple(sorted((placed[j], placed[k], v))) in edge_set)
+        later = [j for j in range(len(anchors), i) if placed[j] in twins[v]]
+        steps.append((v, cons, later[-1] if later else -1))
+    return tuple(steps)
+
+
 def _has(g, *t):
     return g.bits >> triple_rank(*t) & 1 == 1
 

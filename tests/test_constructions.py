@@ -25,6 +25,7 @@ from h3cover import (
     pattern,
     steiner,
     uncovered_vertices,
+    verify_construction,
 )
 from h3cover import constructions, core
 from h3cover.constructions import VARIANT_CASES
@@ -266,6 +267,16 @@ def test_blow_up_fano_complement():
     assert g.n == 15
     assert oracles.min_codegree(g) == 11 == claims.min_codegree
     assert claims.pattern_hint == "K6"
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+@pytest.mark.parametrize("factor", [1, 2, 3])
+def test_blow_up_of_a_complete_base_verifies(m, factor):
+    # a cross pair has (m - 2 + 2) * factor - 1 and an apex pair (m - 1) * factor, the lesser for factor >= 2
+    g, claims = blow_up(Hypergraph3.from_triples(m, combinations(range(m), 3)), factor)
+    assert claims.min_codegree == oracles.min_codegree(g) == min(m * factor - 1, (m - 1) * factor)
+    assert claims.pattern_hint == f"K{m + 2}"
+    assert verify_construction(g, claims, pattern(claims.pattern_hint)).ok
 
 
 def test_clique_number_matches_brute_force():

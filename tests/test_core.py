@@ -1,6 +1,7 @@
 import io
 import os
 import random
+import time
 import tracemalloc
 import urllib.request
 
@@ -547,6 +548,15 @@ def test_twin_classes_of_large_hosts_match_swap_oracle(g):
     # two words per row; f1(65)'s parts and the blow-up's copies of each base vertex are classes
     classes = [c for c in oracles.twin_classes(g) if len(c) > 1]
     assert classes and g.twin_classes() == {v: sum(1 << u for u in c) for c in classes for v in c}
+
+
+def test_twin_classes_of_a_steiner_system_are_quick():
+    # every vertex has one codegree profile, so each pair of rows is compared; a comparison
+    # stops at the first entry that no swap explains, and there are no twins
+    g = steiner(399)
+    t0 = time.perf_counter()
+    assert g.twin_classes() == {}
+    assert time.perf_counter() - t0 < 3.0
 
 
 @pytest.mark.parametrize("build", ["python", "numpy"])

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,38 @@ def test_ordering_prefix_property():
                 if v in e and all(pos[u] <= i for u in e)
             )
             assert inside <= p.r, name
+
+
+# -- plans ----------------------------------------------------------------------
+
+
+def _plan_graphs():
+    """Every catalog pattern; K_t, K_t- and C_t for t <= 10; STS on 9, 13 and 15 points;
+    seeded graphs on 4..10 vertices of several densities; each graph once."""
+    names = [*CATALOG, *(f"K{t}{minus}" for t in range(4, 11) for minus in ("", "-"))]
+    names += [f"C{t}" for t in range(5, 11)] + [f"STS:{t}" for t in (9, 13, 15)]
+    graphs = [patterns._catalog_graph(name) for name in names]
+    rng = random.Random(31)
+    for n in range(4, 11):
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            graphs.append(Hypergraph3(n, sum(1 << r for r in range(comb(n, 3)) if rng.random() < density) or 1))
+    return list(dict.fromkeys(graphs))
+
+
+@pytest.mark.parametrize("g", _plan_graphs(), ids=repr)
+def test_plan_matches_edge_scan(g):
+    # the plan read from the pair table orders, constrains and twin-bounds the positions as
+    # the rescan of every edge for every candidate does, from each anchor and the degeneracy ordering
+    for anchors in [(a,) for a in range(g.n)] + [degeneracy(g)[1]]:
+        assert patterns._plan(g, anchors) == oracles.plan(g, anchors), anchors
+
+
+def test_complete_pattern_builds_quickly():
+    # a fresh graph, so no cached plan is reused; the build takes about 0.1 s on 2 shared cores
+    t0 = time.perf_counter()
+    pat = pattern_from_graph("K50", patterns._catalog_graph("K50"))
+    assert time.perf_counter() - t0 < 1.0
+    assert pat.orbit_reps == (0,) and pat.r == comb(49, 2)
 
 
 # -- greedy bound ---------------------------------------------------------------
