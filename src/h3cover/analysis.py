@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Hypergraph3, _iter_bits
+from .core import Hypergraph3, _iter_bits, _row_blocks
 from .constructions import ConstructionClaims, Tripartition
 from .patterns import Pattern, greedy_cover_bound, uncovered_vertices
 
@@ -413,8 +413,10 @@ def _measure_partition(g: Hypergraph3, x: int, parts) -> PartitionDiagnostics:
     for i, part in enumerate(parts):
         label[list(part)] = i + 1
     label[x] = 4
-    labels = np.sort(label[g.edge_array()], axis=1)
-    hist = np.bincount(labels @ np.array([25, 5, 1], dtype=np.int8), minlength=125).tolist()
+    hist = np.zeros(125, dtype=np.int64)
+    for t in _row_blocks(g.edge_array()):
+        hist += np.bincount(np.sort(label[t], axis=1) @ np.array([25, 5, 1], dtype=np.int8), minlength=125)
+    hist = hist.tolist()
 
     def edges_of(*labels: int) -> int:
         p, q, r = sorted(labels)
@@ -422,9 +424,7 @@ def _measure_partition(g: Hypergraph3, x: int, parts) -> PartitionDiagnostics:
 
     sizes = tuple(len(p) for p in parts)
     within = sum(edges_of(i + 1, i + 1, 4) for i in range(3))
-    missing_cross = sum(
-        sizes[i] * sizes[j] - edges_of(i + 1, j + 1, 4) for i, j in combinations(range(3), 2)
-    )
+    missing_cross = sum(sizes[i] * sizes[j] - edges_of(i + 1, j + 1, 4) for i, j in combinations(range(3), 2))
     tripartite = edges_of(1, 2, 3)
     missing_two = sum(
         comb(sizes[i], 2) * sizes[j] - edges_of(i + 1, i + 1, j + 1)
@@ -457,29 +457,16 @@ class VerificationReport(NamedTuple):
     ok: bool
 
     def as_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "expected": c.expected,
-                    "measured": c.measured,
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
+        checks = [{"name": c.name, "expected": c.expected, "measured": c.measured, "pass": c.passed}
+                  for c in self.checks]
+        return {"ok": self.ok, "checks": checks}
 
 
-def verify_construction(
-    g: Hypergraph3, claims: ConstructionClaims, pat: Pattern
-) -> VerificationReport:
+def verify_construction(g: Hypergraph3, claims: ConstructionClaims, pat: Pattern) -> VerificationReport:
     """Re-measure every claim the generator made: codegree, coverage, layout."""
     checks = []
     measured = g.min_codegree()
-    checks.append(
-        CheckResult("min_codegree", claims.min_codegree, measured, measured == claims.min_codegree)
-    )
+    checks.append(CheckResult("min_codegree", claims.min_codegree, measured, measured == claims.min_codegree))
     seen = set()
     valid_layout = claims.n == g.n
     apex = () if claims.partition.apex is None else (claims.partition.apex,)
@@ -488,9 +475,7 @@ def verify_construction(
             valid_layout &= 0 <= v < g.n and v not in seen
             seen.add(v)
     valid_layout &= len(seen) == g.n
-    checks.append(
-        CheckResult("partition", "valid", "valid" if valid_layout else "invalid", valid_layout)
-    )
+    checks.append(CheckResult("partition", "valid", "valid" if valid_layout else "invalid", valid_layout))
     # one search of the whole host, as ``cover`` runs it, answers every claimed vertex
     uncovered = uncovered_vertices(g, pat) if claims.uncovered else ()
     for v in claims.uncovered:

@@ -95,11 +95,7 @@ def cmd_verify(args) -> int:
         claims = ConstructionClaims.from_json(json.load(fh))
     pat = pattern(args.pattern)
     report = verify_construction(g, claims, pat)
-    payload = {
-        "input": str(args.input),
-        "pattern": pat.name,
-        **report.as_json(),
-    }
+    payload = {"input": str(args.input), "pattern": pat.name, **report.as_json()}
     lines = [
         f"{'PASS' if c.passed else 'FAIL'}  {c.name}: expected {c.expected}, measured {c.measured}"
         for c in report.checks
@@ -186,10 +182,7 @@ def cmd_recover(args) -> int:
         "delta": str(DEFAULT_SLACK),
         "guarantee_applies": rec.guarantee_applies,
     }
-    lines = [
-        f"parts: {[list(p) for p in rec.partition.parts]}",
-        f"violations: {payload['violations']}",
-    ]
+    lines = [f"parts: {[list(p) for p in rec.partition.parts]}", f"violations: {payload['violations']}"]
     _emit(args, payload, lines)
     return 0
 

@@ -8,7 +8,7 @@ are never trusted downstream: the analysis module re-measures all of them.
 Each family but the Steiner systems is a rule on part labels, built by one
 private builder from the part sizes, the apex flag and the allowed label
 triples, with the triples of ``f1_variant``'s pair set flipped; core packs
-the edge flags into the bitmap and decodes the flags, never the bitmap.
+the edge flags into the bitmap, whose edge array is decoded when read.
 ``sts`` pairs ``steiner`` with claims naming one part of all t vertices.
 
 Layout convention: parts are contiguous index ranges starting at 0 and the
@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import Hypergraph3, _binomials, _pack, _rows, _with_rows, triple_rank
+from .core import Hypergraph3, _binomials, _pack, triple_rank
 
 __all__ = [
     "Tripartition",
@@ -66,12 +66,7 @@ class Tripartition(NamedTuple):
 
 
 # per-vertex pair-multiplicity caps, by case tag and part index
-VARIANT_CASES = {
-    "0": (2, 1, 1),
-    "1": (1, 1, 1),
-    "2": (2, 2, 1),
-    "2p": (3, 1, 1),
-}
+VARIANT_CASES = {"0": (2, 1, 1), "1": (1, 1, 1), "2": (2, 2, 1), "2p": (3, 1, 1)}
 
 _CASE_RESIDUE = {"0": 0, "1": 1, "2": 2, "2p": 2}
 
@@ -106,9 +101,7 @@ class AdmissiblePairSet(_AdmissiblePairSet):
         for v, c in counts.items():
             cap = caps[partition.part_of(v)]
             if c > cap:
-                raise ValueError(
-                    f"vertex {v} occurs in {c} pairs, cap for its part is {cap}"
-                )
+                raise ValueError(f"vertex {v} occurs in {c} pairs, cap for its part is {cap}")
 
 
 class ConstructionClaims(NamedTuple):
@@ -224,7 +217,7 @@ def _build(
     flags[np.fromiter(swaps, np.intp)] ^= True
     claims = ConstructionClaims(name, n, min_codegree, tuple(uncovered),
                                 Tripartition(n - 1 if apex else None, parts), pattern_hint, params)
-    return _with_rows(n, _pack(flags), _rows(n, np.flatnonzero(flags))), claims
+    return Hypergraph3(n, _pack(flags)), claims  # its edge array is decoded from the bitmap when read
 
 
 def _triples_over(k: int, distinct) -> list[tuple[int, int, int]]:
@@ -259,20 +252,13 @@ def _variant_partition(case: str, n: int) -> Tripartition:
     # size the edge flags that _build fills: numpy refuses an oversize n at once
     np.empty(comb(n, 3), dtype=bool)
     m = n // 3
-    sizes = {
-        "0": (m - 1, m, m),
-        "1": (m, m, m),
-        "2": (m, m, m + 1),
-        "2p": (m - 1, m + 1, m + 1),
-    }[case]
+    sizes = {"0": (m - 1, m, m), "1": (m, m, m), "2": (m, m, m + 1), "2p": (m - 1, m + 1, m + 1)}[case]
     if sizes[0] < 1:
         raise ValueError(f"n={n} too small for case {case!r}")
     return Tripartition(apex=n - 1, parts=_contiguous_parts(sizes))
 
 
-def f1_variant(
-    case: str, pair_set: AdmissiblePairSet, n: int
-) -> tuple[Hypergraph3, ConstructionClaims]:
+def f1_variant(case: str, pair_set: AdmissiblePairSet, n: int) -> tuple[Hypergraph3, ConstructionClaims]:
     """The f1 family perturbed by an admissible cross-part pair set.
 
     For every pair uv in the set, the apex triple through uv is deleted and
@@ -296,11 +282,7 @@ def admissible_sample(case: str, n: int, seed: int = 0) -> AdmissiblePairSet:
     caps = VARIANT_CASES[case]
     idx = _part_index(part.parts, n - 1)
     rng = random.Random(seed)
-    candidates = [
-        (u, v)
-        for u, v in combinations(range(n - 1), 2)
-        if idx[u] != idx[v]
-    ]
+    candidates = [(u, v) for u, v in combinations(range(n - 1), 2) if idx[u] != idx[v]]
     rng.shuffle(candidates)
     counts = [0] * (n - 1)
     chosen = []
@@ -356,8 +338,7 @@ def f4(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
         raise ValueError("f4 needs n >= 5")
     half = n // 2
     # an even number of vertices in the first half: none or two
-    return _build("f4", n, (half, n - half), False, [(1, 1, 1), (0, 0, 1)], (n - 3) // 2,
-                  range(half), "C5")
+    return _build("f4", n, (half, n - half), False, [(1, 1, 1), (0, 0, 1)], (n - 3) // 2, range(half), "C5")
 
 
 def steiner(t: int) -> Hypergraph3:
@@ -455,8 +436,7 @@ def fano_bipartite(n: int) -> tuple[Hypergraph3, ConstructionClaims]:
     if n < 7:
         raise ValueError("fano_bipartite needs n >= 7")
     half = n // 2
-    return _build("fano2", n, (half, n - half), False, [(0, 0, 1), (0, 1, 1)], n // 2,
-                  range(n), "Fano")
+    return _build("fano2", n, (half, n - half), False, [(0, 0, 1), (0, 1, 1)], n // 2, range(n), "Fano")
 
 
 def f32_tripartite(n: int) -> tuple[Hypergraph3, ConstructionClaims]:

@@ -7,32 +7,26 @@ set exactly when the triple is an edge, where
 
 is the colexicographic rank, so {0,1,2} is bit 0 and {n-3,n-2,n-1} is bit
 C(n,3)-1.  That integer is the canonical, hashable value; graphs are immutable
-and safe to share across threads.  One codec converts it to and from one bool
-flag per rank: ``_pack`` packs flags into the int, and ``_set_bits`` unpacks
-its bytes at once and returns the set flags, the edge ranks.  Every view reads
-one int16 array of triples in colex order, built once, lazily (``edge_array``).
-Its build is chosen by size: a graph on at most ``_SMALL_N`` vertices scans its
-C(n,3) ranks in colex order in Python and hands numpy the edges in one call;
-a larger one decodes its edge ranks in blocks of one top vertex c from rank
-C(c,3), with a colex pair table for the rest, and a construction decodes the
-flags it packs the same way.  A text read skips both: the array of a graph read
-is the rows of one ``np.loadtxt`` call, put in rank order (numpy parses the file
-``load_h3`` names in chunks, the text given to ``loads_h3`` line by line).
-``dumps_h3`` is a numpy pass over it: it gathers each block of rows' text cells
-from a per-vertex table of NUL-padded byte strings in one index and drops the
-block's padding.  ``contains`` reads one bit of the int; ``from_triples`` ranks
-whole vertex arrays at once.
+and safe to share across threads.  Every view reads one int16 array of triples
+in colex order, built once, lazily (``edge_array``): a graph on at most
+``_SMALL_N`` vertices scans its ranks in Python, and a larger one, a
+construction too, unpacks and decodes its bitmap a block at a time.
 
-Every pair query reads one table, built lazily (``pair_masks``).  Above
-``_SMALL_N`` vertices the edge array flags a bool matrix of pairs by vertices in
-one flat scatter per pair column, ``np.packbits`` packs each row into 64-bit
-words, and each word column becomes Python ints at once; a smaller graph ORs
-the bits of its scanned edges into the entries in Python.  Entry [u][v] is the
-vertex bitmap of the joint neighbourhood of u and v.  ``pair_mask`` and
-``codegree`` read one entry, and ``min_codegree`` the least of the codegrees
-counted while the table is built; a ``LinkGraph`` is one row, and the
-embedding searches of ``patterns`` index the table directly.  The same table
-splits the vertices into twin classes (``twin_classes``), cached beside it.
+Every whole-graph layer walks the edges in blocks of consecutive top vertices,
+sized by ``_BLOCK``, so that no array but the edge array has an entry per rank
+or per edge: the decode, the pair table's scatter, the partition histogram of
+``analysis``, the text writer (``write_h3`` writes each block as it is made)
+and the ranking of parsed rows.  A read checks the text in blocks of lines and
+keeps no other copy of it; numpy parses a named file in chunks.  Rows parsed in
+rank order are the edge array; others give the bitmap, decoded when read.
+
+Every pair query reads one table, built lazily (``pair_masks``): entry [u][v] is
+the vertex bitmap of the joint neighbourhood of u and v.  Above ``_SMALL_N``
+vertices each block of edges flags a bool matrix of pairs by 64k vertex slots,
+packed into 64-bit words by ``np.packbits``; a smaller graph ORs its edges' bits
+in Python.  ``min_codegree`` is counted while the table is built, a
+``LinkGraph`` is one row, and the twin classes (``twin_classes``) are read
+from it.
 
 Two interchangeable text encodings are supported by ``dumps_h3``/``loads_h3``:
 
@@ -50,9 +44,9 @@ the bitmap) between ASCII whitespace, with no sign, ``_`` or ``0x`` prefix.
 
 from __future__ import annotations
 
-import io
 import os
 import re
+from bisect import bisect_left
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -67,9 +61,6 @@ __all__ = [
     "write_h3",
     "load_h3",
 ]
-
-# edges() turns this many rows of the edge array into tuples at a time, dumps_h3 into text
-_CHUNK = 4096
 
 
 def triple_rank(a: int, b: int, c: int) -> int:
@@ -91,17 +82,20 @@ def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rows(n: int, ranks: np.ndarray) -> np.ndarray:
-    """(m, 3) int16 array of the sorted triples with the given ascending int64 colex
-    ranks, which become pair ranks in place: the ranks with top vertex c are a block
-    from C(c,3), and a colex table of the pairs up to the largest top vertex reads the rest."""
+    """(m, 3) int16 array of the sorted triples with the given ascending int64 colex ranks, which
+    become the triples' least vertices in place: each pair b < c of the top vertices present starts
+    a run of ranks at C(c,3) + C(b,2), and one search finds the runs."""
+    if not len(ranks):
+        return np.empty((0, 3), dtype=np.int16)
     c2, c3 = _binomials(n + 1)
-    k = int(np.searchsorted(c3, ranks[-1], side="right")) if len(ranks) else 0  # the top vertices are below k
-    top = np.repeat(np.arange(k, dtype=np.int16), np.diff(np.searchsorted(ranks, c3[:k + 1])))
-    ranks -= c3[top]
-    b_of = np.repeat(np.arange(k, dtype=np.int16), np.arange(k))  # b repeated over its b pair ranks from C(b,2)
-    a_of = (np.arange(len(b_of)) - c2[b_of]).astype(np.int16)
+    c0, c1 = np.searchsorted(c3, ranks[[0, -1]], side="right") - [1, 0]
+    c = np.repeat(np.arange(c0, c1, dtype=np.int16), np.arange(c0, c1))
+    b = (np.arange(len(c)) - (c2[c] - c2[c0])).astype(np.int16)
+    start = c3[c] + c2[b]
+    runs = np.diff(np.searchsorted(ranks, start), append=len(ranks))
+    ranks -= np.repeat(start, runs)
     out = np.empty((len(ranks), 3), dtype=np.int16)
-    out[:, 0], out[:, 1], out[:, 2] = a_of[ranks], b_of[ranks], top
+    out[:, 0], out[:, 1], out[:, 2] = ranks, np.repeat(b, runs), np.repeat(c, runs)
     return out
 
 
@@ -124,11 +118,39 @@ def _pack(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-def _bitmap(ranks: np.ndarray) -> int:
-    """The int with exactly the bits at the given positions set."""
-    flags = np.zeros(int(ranks.max()) + 1 if len(ranks) else 0, dtype=bool)
-    flags[ranks] = True
-    return _pack(flags)
+def _bitmap(n: int, t: np.ndarray) -> tuple[int, bool]:
+    """The bitmap of the rows of an (m, 3) vertex array on n vertices, each row sorted in place and
+    ranked in a block of _BLOCK rows, and whether the ranks strictly ascend."""
+    flags, ascending, last = np.zeros(comb(min(n, int(t.max(initial=-1)) + 1), 3), dtype=bool), True, -1
+    for lo in range(0, len(t), _BLOCK):
+        ranks = _rank_rows(n, t[lo:lo + _BLOCK])
+        ascending = ascending and last < ranks[0] and bool((ranks[1:] > ranks[:-1]).all())
+        flags[ranks], last = True, ranks[-1]
+    return _pack(flags), ascending
+
+
+# Every whole-graph layer walks the edges in blocks of consecutive top vertices c0 <= c < c1, the
+# ranks from C(c0,3) up to C(c1,3): a block starts at the first c whose C(c,3) is in a new window of
+# this many ranks, and the text is read in blocks of about as many characters. f1e(99) is 5 blocks,
+# f1e(999) 827; timed on the f1e(99) commands, 2^15 ran as fast as 2^16 with a lower peak
+_BLOCK = 1 << 15
+
+
+def _block_starts(n: int) -> list[int]:
+    """The first top vertex of each block of 0..n-1."""
+    return [c for c in range(n) if c == 0 or comb(c, 3) // _BLOCK > comb(c - 1, 3) // _BLOCK]
+
+
+def _row_blocks(t: np.ndarray) -> list[np.ndarray]:
+    """The rows of an edge array in colex order, split into views at the starts of the blocks."""
+    cuts = [bisect_left(t[:, 2], c) for c in _block_starts(int(t[-1, 2]) + 1 if len(t) else 0)[1:]]
+    return [t[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(t)])]
+
+
+def _set_bits(raw: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Ascending positions r0 <= r < r1 of the set bits of a bitmap's little-endian bytes."""
+    flags = np.unpackbits(raw[r0 // 8:-(-r1 // 8)], bitorder="little")[r0 % 8:r0 % 8 + r1 - r0]
+    return np.flatnonzero(flags.view(bool)) + r0  # on the bytes themselves, nonzero is five times slower
 
 
 # Up to this many vertices a graph builds its edge rows and pair table in Python from the bitmap.
@@ -143,24 +165,10 @@ def _colex_edges(n: int, bits: int) -> list[tuple[int, int, int]]:
     return [t for r, t in enumerate(colex) if bits >> r & 1]
 
 
-def _set_bits(bits: int) -> np.ndarray:
-    """Ascending positions of the set bits of a bitmap: one flag per bit up to the highest, unpacked at once."""
-    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-
-
-def _with_rows(n: int, bits: int, t: np.ndarray) -> "Hypergraph3":
-    """The graph of the bitmap bits, handed its edge array t: the rows of its set bits, in rank order."""
-    g = Hypergraph3(n, bits)
-    g._triples = t
-    t.flags.writeable = False
-    return g
-
-
 class Hypergraph3:
     """An immutable 3-graph: a vertex count and an edge bitmap."""
 
-    __slots__ = ("n", "bits", "_triples", "_pair_masks", "_codegrees", "_twins")
+    __slots__ = ("n", "bits", "_triples", "_pair_masks", "_codegrees", "_twins", "_later_twins")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
@@ -173,6 +181,7 @@ class Hypergraph3:
         self._pair_masks: Optional[tuple[tuple[int, ...], ...]] = None
         self._codegrees: Optional[np.ndarray] = None  # n x n (n on the diagonal), with the pair table
         self._twins: Optional[dict[int, int]] = None
+        self._later_twins = 0  # each twin class but its least vertex, set with the classes
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[Sequence[int]]) -> "Hypergraph3":
@@ -182,15 +191,21 @@ class Hypergraph3:
             raise ValueError(f"vertex out of range 0..{n - 1}") from None
         if t.size and t.shape[1:] != (3,):
             raise ValueError(f"not a sequence of vertex triples (array shape {t.shape})")
-        return cls(n, _bitmap(_rank_rows(n, t.reshape(-1, 3))))
+        return cls(n, _bitmap(n, t.reshape(-1, 3))[0])
 
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (m, 3) int16 array of sorted triples, in colex order."""
         if self._triples is None:
             if self.n <= _SMALL_N:
                 self._triples = np.array(_colex_edges(self.n, self.bits), dtype=np.int16).reshape(-1, 3)
-            else:  # the bitmap's set bits are the edge ranks
-                self._triples = _rows(self.n, _set_bits(self.bits))
+            else:  # the bitmap's set bits are the edge ranks: unpacked and decoded a block at a time
+                raw = np.frombuffer(self.bits.to_bytes(-(-self.bits.bit_length() // 8), "little"), dtype=np.uint8)
+                k = next(c for c in range(self.n + 1) if comb(c, 3) >= self.bits.bit_length())  # tops below k
+                self._triples, at, starts = np.empty((self.num_edges, 3), dtype=np.int16), 0, _block_starts(k)
+                for c0, c1 in zip(starts, starts[1:] + [k]):
+                    ranks = _set_bits(raw, comb(c0, 3), comb(c1, 3))
+                    self._triples[at:at + len(ranks)] = _rows(self.n, ranks)
+                    at += len(ranks)
             self._triples.flags.writeable = False
         return self._triples
 
@@ -207,10 +222,9 @@ class Hypergraph3:
         return self.bits.bit_count()
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Edges as sorted triples, in colex (ascending rank) order."""
-        t = self.edge_array()
-        for lo in range(0, len(t), _CHUNK):
-            yield from map(tuple, t[lo:lo + _CHUNK].tolist())
+        """Edges as sorted triples, in colex (ascending rank) order, a block at a time."""
+        for t in _row_blocks(self.edge_array()):
+            yield from map(tuple, t.tolist())
 
     def pair_masks(self) -> tuple[tuple[int, ...], ...]:
         """The pair table: entry [u][v] is the vertex bitmap of the w such that
@@ -227,18 +241,18 @@ class Hypergraph3:
             self._codegrees = np.array(counts, dtype=np.int64).reshape(n, n)
             self._pair_masks = tuple(map(tuple, table))
         elif self._pair_masks is None:
-            # row r flags the neighbours of the pair of rank r; row C(n,2) stays 0 for the diagonal
-            n, t, rows = self.n, self.edge_array(), comb(self.n, 2) + 1
-            c2, at = _binomials(n)[0], np.empty(len(t), dtype=np.intp)
-            flags = np.zeros(rows * n, dtype=bool)
-            for i, j, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-                np.add(c2.take(t[:, j]), t[:, i], out=at)
-                at *= n
-                at += t[:, r]
-                flags[at] = True
-            k = max(1, -(-n // 64))  # each row as k little-endian 64-bit words
-            words = np.zeros((rows, k), dtype="<u8")
-            words.view(np.uint8)[:, :(n + 7) // 8] = np.packbits(flags.reshape(rows, n), axis=1, bitorder="little")
+            # row r flags the neighbours of the pair of rank r in k 64-bit words; row C(n,2) stays 0
+            n, rows, k = self.n, comb(self.n, 2) + 1, max(1, -(-self.n // 64))
+            c2, flags = _binomials(n)[0], np.zeros(rows * 64 * k, dtype=bool)
+            for t in _row_blocks(self.edge_array()):  # each block's cells: pair rank * 64k + third vertex
+                at = np.empty(len(t), dtype=np.intp)
+                for i, j, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                    np.add(c2.take(t[:, j]), t[:, i], out=at)
+                    at *= 64 * k
+                    at += t[:, r]
+                    flags[at] = True
+            words = np.packbits(flags.reshape(rows, 64 * k), axis=1, bitorder="little").view("<u8")
+            del flags
             masks = words[:, 0].tolist()
             for j in range(1, k):
                 masks = [m | w << 64 * j for m, w in zip(masks, words[:, j].tolist())]
@@ -281,7 +295,7 @@ class Hypergraph3:
                 unseen &= ~c
                 if c & (c - 1):
                     twins.update(dict.fromkeys(_iter_bits(c), c))
-            self._twins = twins
+            self._twins, self._later_twins = twins, sum(c & (c - 1) for c in set(twins.values()))
         return self._twins
 
     def pair_mask(self, u: int, v: int) -> int:
@@ -312,11 +326,7 @@ class Hypergraph3:
     # -- dunder -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Hypergraph3)
-            and self.n == other.n
-            and self.bits == other.bits
-        )
+        return isinstance(other, Hypergraph3) and self.n == other.n and self.bits == other.bits
 
     def __hash__(self) -> int:
         return hash((self.n, self.bits))
@@ -367,18 +377,23 @@ def _iter_bits(mask: int) -> Iterator[int]:
 # -- serialization ----------------------------------------------------------
 
 
-def dumps_h3(g: Hypergraph3, fmt: str = "text") -> str:
+def _h3_text(g: Hypergraph3, fmt: str) -> Iterator[str]:
+    """The .h3 text of g, a block at a time."""
     if fmt == "text":
-        # cell [j][v] is v and column j's separator, NUL-padded; a block of rows is one gather,
-        # and each block drops its padding, so at most two copies of the text are alive at once
+        # cell [j][v] is v and column j's separator, NUL-padded: each block of rows is one gather,
+        # which drops its padding
         cells = np.array([[f"{v}{s}" for v in range(g.n)] for s in "  \n"], dtype=f"S{len(str(g.n)) + 1}")
-        t, cols = g.edge_array(), np.arange(3)
-        blocks = (cells[cols, t[lo:lo + _CHUNK]].tobytes() for lo in range(0, len(t), _CHUNK))
-        return "".join([f"{g.n} {g.num_edges}\n", *(b.translate(None, b"\0").decode() for b in blocks)])
-    if fmt == "hex":
-        width = max(1, (comb(g.n, 3) + 3) // 4)
-        return f"n: {g.n}\n{g.bits:0{width}x}\n"
-    raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'hex')")
+        yield f"{g.n} {g.num_edges}\n"
+        for t in _row_blocks(g.edge_array()):
+            yield cells[np.arange(3), t].tobytes().translate(None, b"\0").decode()
+    elif fmt == "hex":
+        yield from (f"n: {g.n}\n", f"{g.bits:0{max(1, (comb(g.n, 3) + 3) // 4)}x}", "\n")
+    else:
+        raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'hex')")
+
+
+def dumps_h3(g: Hypergraph3, fmt: str = "text") -> str:
+    return "".join(_h3_text(g, fmt))
 
 
 def loads_h3(text: str) -> Hypergraph3:
@@ -388,6 +403,7 @@ def loads_h3(text: str) -> Hypergraph3:
 
 
 _DIGITS, _SPACE = "0123456789", " \t\n\r\v\f\x1c\x1d\x1e\x1f"
+_HEX = _DIGITS + "abcdefABCDEF"
 
 
 def _only(text: str, chars: str, what: str) -> str:
@@ -413,10 +429,26 @@ def _seconds(text: str) -> float:
 _count.__name__, _seconds.__name__ = "count", "seconds"  # argparse reports "invalid count value"
 
 
+def _text_blocks(text: str, lo: int, hexform: bool) -> Iterator[str]:
+    """text from index lo in blocks of whole lines, each of at least _BLOCK characters but the last; in
+    the hex form a block with no '#' in it ends between two hex digits instead, in a line's run of them"""
+    while lo < len(text):
+        hi = lo + _BLOCK
+        if not (hexform and text.find("#", lo, hi) < 0 and not text[hi - 1:hi + 1].strip(_HEX)):
+            hi = text.find("\n", hi) + 1 or len(text)
+        yield text[lo:hi]
+        lo = hi
+
+
+# the lines before the header: whitespace alone, or a comment after it
+_BLANK = re.compile(r"(?:[^\S\n]*(?:#[^\n]*)?\n)*")
+
+
 def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
-    if "#" in text:
-        text = re.sub(r"#[^\n]*", "", text)
-    head, _, body = text.lstrip().partition("\n")
+    # the text is read in blocks: no copy of it is made but one block at a time
+    start = _BLANK.match(text).end()
+    end = len(text) if (end := text.find("\n", start)) < 0 else end
+    head = text[start:end].partition("#")[0].lstrip()
     if not head:
         raise ValueError("empty .h3 input")
     hexform = head.startswith("n:")  # a header of one count, n; the edge-list header holds n and m
@@ -425,33 +457,45 @@ def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
     if len(counts) != (1 if hexform else 2):
         raise ValueError(f"bad header line {head!r}: expected 'n m' or 'n: <count>'")
     n, m = _count(counts[0]), _count(counts[-1])
-    if hexform:
-        # a line ends at \n alone (loads_h3 turns \r\n and \r into it); str.strip() would take a non-ASCII space
-        hexstr = _only("".join(line.strip(_SPACE) for line in body.split("\n")), _DIGITS + "abcdefABCDEF",
-                       "a bitmap line holds only hex digits, with whitespace only around them")
-        return Hypergraph3(n, int(hexstr, 16) if hexstr else 0)
-    _only(body, _DIGITS + _SPACE, "edge lines hold only unsigned decimal vertices")
+    skip, parts, edges = text.count("\n", 0, start) + 1, [], False
+    for block in _text_blocks(text, end + 1, hexform):
+        block = re.sub(r"#[^\n]*", "", block) if "#" in block else block
+        if hexform:  # a line ends at \n alone (loads_h3 turns \r\n and \r into it); strip() takes non-ASCII spaces
+            digits = _only("".join(line.strip(_SPACE) for line in block.split("\n")), _HEX,
+                           "a bitmap line holds only hex digits, with whitespace only around them")
+            parts += [(int(digits, 16), len(digits))] if digits else []
+        else:
+            what = "edge lines hold only unsigned decimal vertices"
+            edges |= bool(block) and not _only(block, _DIGITS + _SPACE, what).isspace()
+    if hexform:  # the bitmap is its blocks' digits in order: (value, digits) pairs joined level by level
+        while len(parts) > 1:
+            pairs = zip(parts[::2], parts[1::2])
+            parts = [(a << 4 * lb | b, la + lb) for (a, la), (b, lb) in pairs] + parts[len(parts) & ~1:]
+        return Hypergraph3(n, parts[0][0] if parts else 0)
     # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body; it reads
     # a named file in chunks, skipping the lines up to the header, and any other source line by line
     t = np.zeros((0, 3), np.int16)
-    if body and not body.isspace():  # int16, as the edge array: a larger vertex raises
-        source, skip = (path, text.count("\n", 0, text.index(head)) + 1) if path else (io.StringIO(body), 0)
-        del text, body  # the text is dead before the parse
-        t = np.loadtxt(source, dtype=np.int16, ndmin=2, skiprows=skip, encoding="ascii")
+    if edges:  # int16, as the edge array: a larger vertex raises
+        source = path or (line for block in _text_blocks(text, end + 1, False) for line in block.split("\n"))
+        del text  # a named file is parsed with no copy of its text alive
+        t = np.loadtxt(source, dtype=np.int16, ndmin=2, skiprows=skip if path else 0, encoding="ascii")
     if t.shape != (m, 3):
         raise ValueError(f"header promises {m} edges, found {t.shape[0]} lines of {t.shape[1]} vertices")
-    ranks = _rank_rows(n, t)
-    if not (ranks[1:] > ranks[:-1]).all():  # dumps_h3 writes rank order; sorted, a repeat is adjacent
-        order = ranks.argsort()
-        ranks, t = ranks[order], t[order]
-        if (twice := np.flatnonzero(ranks[1:] == ranks[:-1])).size:
-            raise ValueError(f"edge {' '.join(map(str, t[twice[0]].tolist()))} is listed twice")
-    return _with_rows(n, _bitmap(ranks), t)  # the parsed rows: no reader of the file decodes the bitmap
+    bits, ascending = _bitmap(n, t)
+    g = Hypergraph3(n, bits)
+    if ascending:  # dumps_h3 writes rank order: the parsed rows are the edge array, and no reader decodes
+        g._triples, t.flags.writeable = t, False
+        return g
+    if bits.bit_count() < m:  # an edge listed twice: sorted, the least such rank is adjacent to itself
+        ranks = np.sort(_rank_rows(n, t))
+        twice = _rows(n, ranks[1:][ranks[1:] == ranks[:-1]][:1])[0]
+        raise ValueError(f"edge {' '.join(map(str, twice.tolist()))} is listed twice")
+    return g
 
 
 def write_h3(g: Hypergraph3, path, fmt: str = "text") -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_h3(g, fmt))
+        fh.writelines(_h3_text(g, fmt))
 
 
 def load_h3(path) -> Hypergraph3:

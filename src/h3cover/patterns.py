@@ -203,10 +203,8 @@ def _search(
         return None
     rows, twins = host.pair_masks(), host.twin_classes()
     free = ((1 << host.n) - 1) & ~(1 << x)
-    later = 0  # the free vertices with a free twin below
-    for c in set(twins.values()):
-        c &= free
-        later |= c & (c - 1)
+    c = twins.get(x, 0)  # the free vertices with a free twin below: the host's, with x's class patched in
+    later = host._later_twins & ~c | (c & free) & ((c & free) - 1)
     for a in anchors:
         plan = _plan(graph, (a,))
         images = [x] + [-1] * (graph.n - 1)

@@ -286,6 +286,19 @@ def test_construct_oversize_n_exits_2_at_once(tmp_path, name):
     assert "out of memory" not in proc.stderr
 
 
+def test_f1e_commands_at_n_300_stay_in_bounded_memory():
+    # each command in a new process started by a small script, its peak resident set from wait4:
+    # 39 MB for construct (the edge flags and the bitmap) and 67 MB for verify, cover and recover
+    # (the edge array and the pair table's flags), with about 30 MB of that the interpreter and
+    # numpy; 106 and 138 MB when each layer built arrays of one entry per edge at once
+    env = {**os.environ, "PYTHONPATH": str(Path(h3cover.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("peak_rss.py")), "300", "60", "100"],
+                          capture_output=True, text=True, timeout=300, env=env)
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["command"] for r in runs] == ["construct", "verify", "cover", "recover"]
+    assert proc.returncode == 0 and all(r["exit"] == 0 and r["peak_rss_mb"] < r["bound_mb"] for r in runs), runs
+
+
 def test_recover_roundtrip(tmp_path, capsys):
     out = tmp_path / "f1_15.h3"
     run(capsys, "construct", "f1", "--n", "15", "-o", str(out))

@@ -22,6 +22,7 @@ from h3cover import (
     f32_tripartite,
     fano_bipartite,
     admissible_sample,
+    loads_h3,
     pattern,
     steiner,
     uncovered_vertices,
@@ -501,18 +502,22 @@ def test_maximal_pair_set_admits_no_further_pair():
                     AdmissiblePairSet(case, pairs.pairs | {(u, v)}).validate(part)
 
 
-def test_built_graphs_are_never_decoded(monkeypatch):
-    # the base of a blow-up is decoded for its codegree and clique number before the patch
+def test_built_graphs_decode_their_bitmap_only_when_read(monkeypatch):
+    # a construction is its bitmap: the hex form is written with no edge array, which is decoded
+    # from the bitmap on first read (the base of a blow-up is read before the patch)
     base = pattern("K4-").graph
     base.pair_masks()
 
-    def no_decode(raw):
+    def no_decode(*args):
         raise AssertionError("a constructed graph decoded its bitmap")
 
     monkeypatch.setattr(core, "_set_bits", no_decode)
     built = [maker(14)[0] for maker in (f1, f2, f3, f4, f32_tripartite, fano_bipartite)]
     built += [blow_up(base, 3)[0], f1_variant("2", admissible_sample("2", 14, 3), 14)[0],
               f1_variant("2p", admissible_sample("2p", 14, 4), 14)[0]]
+    for g in built:
+        assert loads_h3(dumps_h3(g, "hex")) == g
+    monkeypatch.undo()
     for g in built:
         assert dumps_h3(g).count("\n") == g.num_edges + 1
         assert g.pair_masks() and g.min_codegree() >= 0

@@ -1,4 +1,3 @@
-import io
 import os
 import random
 import time
@@ -103,18 +102,32 @@ def test_ranks_enumerate_all_triples():
     assert ranks == list(range(comb(n, 3)))
 
 
-@given(st.lists(st.integers(0, 20_000), max_size=200))
-def test_bitmap_sets_exactly_the_given_ranks(ranks):
-    # repeats and any order: the packed flags give the same int as the sum of distinct bits
-    assert core._bitmap(np.array(ranks, dtype=np.int64)) == sum(1 << r for r in set(ranks))
+_RANKED_51 = Hypergraph3(51, (1 << comb(51, 3)) - 1).edge_array()
 
 
-@given(st.lists(st.booleans(), max_size=300), st.integers(0, 20))
-def test_set_bits_unpacks_what_pack_packs(flags, pad):
-    # trailing False flags leave no bit, and the empty array packs to 0
+@given(st.lists(st.integers(0, comb(51, 3) - 1), max_size=200), st.booleans())
+def test_bitmap_sets_exactly_the_given_ranks(ranks, small_blocks):
+    # repeats and any order, in one block of rows or in blocks of 3: the packed flags give the same
+    # int as the sum of distinct bits, and the ranks ascend when each exceeds the one before it
+    rows = _RANKED_51[ranks][:, ::-1].copy()  # each row descending: the bitmap sorts it in place
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK", 3 if small_blocks else core._BLOCK)
+        bits, ascending = core._bitmap(51, rows)
+    assert bits == sum(1 << r for r in set(ranks))
+    assert ascending == all(a < b for a, b in zip(ranks, ranks[1:]))
+    assert rows.tolist() == _RANKED_51[ranks].tolist()
+
+
+@given(st.lists(st.booleans(), max_size=300), st.integers(0, 20), st.integers(0, 320), st.integers(0, 320))
+def test_set_bits_unpacks_what_pack_packs(flags, pad, r0, r1):
+    # trailing False flags leave no bit, the empty array packs to 0, and any range of ranks,
+    # within the bytes or past them, unpacks to the set flags in it
     flags = np.array(flags + [False] * pad, dtype=bool)
-    ranks = core._set_bits(core._pack(flags))
-    assert ranks.dtype == np.int64 and np.array_equal(ranks, np.flatnonzero(flags))
+    bits = core._pack(flags)
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    for lo, hi in ((0, len(flags)), (min(r0, r1), max(r0, r1))):
+        ranks = core._set_bits(raw, lo, hi)
+        assert ranks.dtype == np.int64 and np.array_equal(ranks, np.flatnonzero(flags[lo:hi]) + lo)
 
 
 @pytest.mark.parametrize("n", range(40, 121, 16))
@@ -368,17 +381,21 @@ def test_loads_hands_over_rows_as_edge_array():
 
 
 def test_loaded_graph_is_never_decoded(monkeypatch):
+    # edge lines in rank order, as dumps_h3 writes them, are the edge array; lines in another
+    # order give the bitmap, whose edge array is decoded when read
     g, _ = f1(12)
-    texts = [dumps_h3(g), _shuffled(dumps_h3(g), random.Random(13))]
     edges, masks = g.edge_array(), g.pair_masks()
+    shuffled = loads_h3(_shuffled(dumps_h3(g), random.Random(13)))
 
-    def no_decode(raw):
+    def no_decode(*args):
         raise AssertionError("a graph read from .h3 text decoded its bitmap")
 
     monkeypatch.setattr(core, "_set_bits", no_decode)
-    for text in texts:
+    for text in (dumps_h3(g), "# f1(12)\n" + dumps_h3(g).replace("\n", " \n")):
         loaded = loads_h3(text)
         assert np.array_equal(loaded.edge_array(), edges) and loaded.pair_masks() == masks
+    with pytest.raises(AssertionError, match="decoded its bitmap"):
+        shuffled.edge_array()
 
 
 # numbers int() reads but that are not ASCII digits: signs, '_', a 0x prefix, non-ASCII digits;
@@ -581,6 +598,76 @@ def test_both_builds_match_oracles_across_the_size_bound(n, build, monkeypatch):
         assert g.twin_classes() == {v: sum(1 << u for u in c) for c in classes for v in c}
 
 
+def _walked(g, path):
+    """What each block walk makes of a fresh copy of g: rows, pair table, codegrees, partition
+    counts, text written both ways, and the rows and bitmaps read back from both forms."""
+    from h3cover.analysis import _measure_partition
+
+    h = Hypergraph3(g.n, g.bits)
+    table, x = h.pair_masks(), g.n - 1
+    shared = all(table[u][v] is table[v][u] for u in range(g.n) for v in range(g.n))
+    parts = tuple(tuple(range(i, x, 3)) for i in range(3))
+    d = _measure_partition(h, x, parts) if g.n else None
+    counts = d and (d.within_part_link, d.missing_cross_link, d.tripartite_edges, d.missing_two_part)
+    write_h3(h, path)
+    text, loaded = dumps_h3(h), load_h3(path)
+    return (h.edge_array().tolist(), [list(row) for row in table], shared, np.diagonal(h._codegrees).tolist(),
+            h.min_codegree(), counts, text, path.read_text(), loaded.edge_array().tolist(), loaded.bits,
+            loads_h3(dumps_h3(h, "hex")).bits)
+
+
+@pytest.mark.parametrize("block", [1, 5, 200])
+def test_block_walk_matches_one_block_and_oracles(block, tmp_path, monkeypatch):
+    # a block of 1 or 5 ranks splits every graph at each top vertex (and reads its text a line, or
+    # a hex digit, at a time); empty, sparse, dense and complete bitmaps on 0..40 vertices, with the
+    # size bound forced down so that graphs on 3..9 vertices walk blocks too
+    monkeypatch.setattr(core, "_SMALL_N", 2)
+    rng, path = random.Random(block), tmp_path / "g.h3"
+    for n in range(41):
+        for density in (0, 0.05, 0.85, 1):
+            g = Hypergraph3(n, sum(1 << r for r in range(comb(n, 3)) if rng.random() < density))
+            monkeypatch.setattr(core, "_BLOCK", 1 << 40)
+            one = _walked(g, path)
+            monkeypatch.setattr(core, "_BLOCK", block)
+            got = _walked(g, path)
+            assert got == one, (n, density)
+            rows, table, shared, diagonal, dmin, counts, text, written, loaded, bits, hex_bits = got
+            assert rows == loaded == [list(t) for t in oracles.triples_of(g)] and bits == hex_bits == g.bits
+            assert table == oracles.pair_table(g) and shared and diagonal == [n] * n
+            assert dmin == oracles.min_codegree(g) and text == written == oracles.dumps_h3(g)
+            if n:
+                parts = tuple(tuple(range(i, n - 1, 3)) for i in range(3))
+                assert counts == oracles.partition_violations(g, n - 1, parts)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
+def test_hex_lines_cut_into_blocks_keep_their_comments(block, monkeypatch):
+    # a block ends inside a run of hex digits only if no comment has begun: the digits of a comment
+    # that runs past a block's end are never read as bitmap digits
+    monkeypatch.setattr(core, "_BLOCK", block)
+    g = f1(12)[0]
+    bitmap = dumps_h3(g, "hex").split("\n")[1]
+    text = f"n: 12 # 0abc\n {bitmap[:30]}\t# ffff 0123\n{bitmap[30:40]}#{bitmap}\n\v{bitmap[40:]} \n# 12\n"
+    assert loads_h3(text) == g and loads_h3(text.replace("\n", "\r\n")) == g
+
+
+def test_errors_in_the_last_text_block_keep_their_messages(tmp_path, monkeypatch):
+    # a bad character, then an edge listed twice, on the last line of f1(40): the messages name the
+    # character and the edge as a read in one block did
+    monkeypatch.setattr(core, "_BLOCK", 64)
+    g = f1(40)[0]
+    head, *lines = dumps_h3(g).splitlines()
+    for text, message in (("\n".join([head, *lines[:-1], lines[-1] + " x"]) + "\n",
+                           "edge lines hold only unsigned decimal vertices, found 'x'"),
+                          ("\n".join([f"{g.n} {g.num_edges + 1}", *lines, lines[7]]) + "\n",
+                           f"edge {lines[7]} is listed twice")):
+        (tmp_path / "g.h3").write_text(text, encoding="ascii")
+        for read in (lambda: loads_h3(text), lambda: load_h3(tmp_path / "g.h3")):
+            with pytest.raises(ValueError) as exc:
+                read()
+            assert str(exc.value) == message
+
+
 @settings(max_examples=150, deadline=None)
 @given(bitmaps())
 def test_decoded_views_match_oracles(g):
@@ -753,7 +840,7 @@ def test_load_hands_numpy_the_file_name(tmp_path, monkeypatch):
         loaded = load_h3(name)
         assert loaded == g and np.array_equal(loaded.edge_array(), g.edge_array())
         assert isinstance(sources[-1], str) and os.path.isabs(sources[-1]) and os.path.samefile(sources[-1], path)
-    assert loads_h3(path.read_text()) == g and isinstance(sources[-1], io.StringIO)
+    assert loads_h3(path.read_text()) == g and not isinstance(sources[-1], str)  # the text's lines
 
 
 def test_load_names_the_file_the_os_opens(tmp_path, monkeypatch):
@@ -798,8 +885,9 @@ def test_load_reads_a_pipe_and_an_fd(tmp_path):
 
 
 def test_load_peak_memory_is_bounded_by_the_file_size(tmp_path):
-    # numpy reads the file itself, so no copy of the text is alive during the parse: the peak
-    # is 4.0 times the file on f1e(99), and 6.8 times with the edge lines in an io.StringIO
+    # the text is checked in blocks and dropped before numpy parses the file: the peak, 2.0 times
+    # the file on f1e(99), is read() holding the file's bytes and their decoded text at once; it
+    # was 4.0 times with the comment-free text, the body and its encoded bytes all alive
     path = tmp_path / "f1e.h3"
     write_h3(f1_variant("0", admissible_sample("0", 99, 1), 99)[0], path)
     load_h3(path)  # first-use imports and caches
@@ -810,4 +898,4 @@ def test_load_peak_memory_is_bounded_by_the_file_size(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert g.num_edges == 121_016 and peak < 5 * path.stat().st_size
+    assert g.num_edges == 121_016 and peak < 2.5 * path.stat().st_size
