@@ -15,10 +15,11 @@ construction too, unpacks and decodes its bitmap a block at a time.
 Every whole-graph layer walks the edges in blocks of consecutive top vertices,
 sized by ``_BLOCK``, so that no array but the edge array has an entry per rank
 or per edge: the decode, the pair table's scatter, the partition histogram of
-``analysis``, the text writer (``write_h3`` writes each block as it is made)
-and the ranking of parsed rows.  A read checks the text in blocks of lines and
-keeps no other copy of it; numpy parses a named file in chunks.  Rows parsed in
-rank order are the edge array; others give the bitmap, decoded when read.
+``analysis``, the text writer (one ``take`` per block from a flat table of
+NUL-padded cells, each block written as it is made) and the ranking of parsed
+rows.  A read checks the text in blocks of lines and keeps no other copy of it;
+numpy parses a named file in chunks.  Rows parsed in rank order are the edge
+array; others give the bitmap, decoded when read.
 
 Every pair query reads one table, built lazily (``pair_masks``): entry [u][v] is
 the vertex bitmap of the joint neighbourhood of u and v.  Above ``_SMALL_N``
@@ -101,14 +102,17 @@ def _rows(n: int, ranks: np.ndarray) -> np.ndarray:
 
 def _rank_rows(n: int, t: np.ndarray) -> np.ndarray:
     """int64 colex ranks of the rows of an (m, 3) vertex array, sorted in place."""
-    # dumps_h3 writes every row ascending; the check costs under a twentieth of the sort
-    if not ((t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2])).all():
+    # dumps_h3 writes every row ascending; the check costs under a twentieth of the sort, and rows that
+    # pass it repeat no vertex, so only their least and greatest vertices need a range check
+    ascending = ((t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2])).all()
+    if not ascending:
         t.sort(axis=1)
-    bad = (t[:, 0] < 0) | (t[:, 2] >= n) | (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
-    if bad.any():
-        raise ValueError(f"not a valid triple on {n} vertices: {tuple(t[bad.argmax()].tolist())}")
-    c2, c3 = _binomials(n)
-    ranks = c3[t[:, 2]] + c2[t[:, 1]]
+    if not ascending or t[:, 0].min(initial=0) < 0 or t[:, 2].max(initial=0) >= n:
+        bad = (t[:, 0] < 0) | (t[:, 2] >= n) | (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
+        if bad.any():
+            raise ValueError(f"not a valid triple on {n} vertices: {tuple(t[bad.argmax()].tolist())}")
+    c2, c3 = _binomials(n)  # the rows are checked, and an unchecked take is twice as fast
+    ranks = c3.take(t[:, 2], mode="clip") + c2.take(t[:, 1], mode="clip")
     ranks += t[:, 0]
     return ranks
 
@@ -253,16 +257,17 @@ class Hypergraph3:
                     flags[at] = True
             words = np.packbits(flags.reshape(rows, 64 * k), axis=1, bitorder="little").view("<u8")
             del flags
-            masks = words[:, 0].tolist()
-            for j in range(1, k):
-                masks = [m | w << 64 * j for m, w in zip(masks, words[:, j].tolist())]
+            masks = words[:, -1].astype(object)  # Python ints, shifted in place: no copy of a shifted column
+            for j in range(k - 2, -1, -1):
+                masks <<= 64
+                masks |= words[:, j].astype(object)
             v = np.arange(n)
             rank = c2[np.maximum.outer(v, v)] + np.minimum.outer(v, v)
             np.fill_diagonal(rank, rows - 1)
             counts = np.bitwise_count(words).sum(axis=1)
             counts[-1] = n  # the diagonal's row: n exceeds every codegree, so the least entry is a pair's
             self._codegrees = counts[rank]
-            self._pair_masks = tuple(tuple(map(masks.__getitem__, row)) for row in rank.tolist())
+            self._pair_masks = tuple(map(tuple, masks[rank].tolist()))
         return self._pair_masks
 
     def twin_classes(self) -> dict[int, int]:
@@ -380,12 +385,16 @@ def _iter_bits(mask: int) -> Iterator[int]:
 def _h3_text(g: Hypergraph3, fmt: str) -> Iterator[str]:
     """The .h3 text of g, a block at a time."""
     if fmt == "text":
-        # cell [j][v] is v and column j's separator, NUL-padded: each block of rows is one gather,
-        # which drops its padding
-        cells = np.array([[f"{v}{s}" for v in range(g.n)] for s in "  \n"], dtype=f"S{len(str(g.n)) + 1}")
-        yield f"{g.n} {g.num_edges}\n"
+        # cell j*n + v is v and column j's separator, NUL-padded to 4 or 8 bytes and read as one word:
+        # each block of rows is one take from the flat table, and one translate drops the padding
+        n, w = g.n, 4 if g.n <= 1000 else 8
+        cells = np.array([f"{v}{s}" for s in "  \n" for v in range(n)], dtype=f"S{w}").view(f"<u{w}")
+        yield f"{n} {g.num_edges}\n"
         for t in _row_blocks(g.edge_array()):
-            yield cells[np.arange(3), t].tobytes().translate(None, b"\0").decode()
+            at = t.astype(np.int32)  # a column at a time: adding [0, n, 2n] to each row is three times slower
+            at[:, 1] += n
+            at[:, 2] += 2 * n
+            yield cells.take(at).tobytes().translate(None, b"\0").decode()
     elif fmt == "hex":
         yield from (f"n: {g.n}\n", f"{g.bits:0{max(1, (comb(g.n, 3) + 3) // 4)}x}", "\n")
     else:

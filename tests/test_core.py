@@ -179,6 +179,20 @@ def test_build_rejects_malformed():
         Hypergraph3.from_triples(3, [(0, 1)])
 
 
+@pytest.mark.parametrize("read, message", [
+    (lambda: Hypergraph3.from_triples(5, [(-1, 2, 3)]), "not a valid triple on 5 vertices: (-1, 2, 3)"),
+    (lambda: Hypergraph3.from_triples(5, [(0, 1, 2), (2, -1, 3)]), "not a valid triple on 5 vertices: (-1, 2, 3)"),
+    (lambda: loads_h3("4 1\n0 1 4\n"), "not a valid triple on 4 vertices: (0, 1, 4)"),
+    (lambda: loads_h3("6 3\n0 1 2\n0 1 3\n2 3 6\n"), "not a valid triple on 6 vertices: (2, 3, 6)"),
+    (lambda: loads_h3("4 1\n1 0 0\n"), "not a valid triple on 4 vertices: (0, 0, 1)"),
+], ids=["negative", "negative-unsorted", "too-large", "later-row", "repeated-unsorted"])
+def test_invalid_rows_are_named_exactly(read, message):
+    # ascending rows get a range check only, other rows the full one: both name the first bad row, sorted
+    with pytest.raises(ValueError) as exc:
+        read()
+    assert str(exc.value) == message
+
+
 def test_build_deduplicates():
     g = Hypergraph3.from_triples(4, [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
     assert g.num_edges == 1
@@ -356,6 +370,19 @@ def _random_hosts(seed):
 def test_dumps_text_matches_edge_by_edge_writer():
     for g in _random_hosts(11):
         assert dumps_h3(g, "text") == oracles.dumps_h3(g), g
+
+
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_writer_spells_labels_of_four_digits(n, tmp_path):
+    # labels up to 999 fit the writer's 4-byte cells, 1000 and up its 8-byte ones; the oracle walks
+    # every rank, too slow at this n, so the expected text is formatted from the triples
+    rng = random.Random(n)
+    triples = {tuple(sorted(rng.sample(range(n), 3))) for _ in range(50)} | {(0, 500, 999), (1, 2, n - 1)}
+    triples = sorted(triples, key=lambda t: triple_rank(*t))
+    g = Hypergraph3(n, sum(1 << triple_rank(*t) for t in triples))
+    want = f"{n} {len(triples)}\n" + "".join("%d %d %d\n" % t for t in triples)
+    write_h3(g, tmp_path / "g.h3")
+    assert dumps_h3(g) == (tmp_path / "g.h3").read_text(encoding="ascii") == want
 
 
 def _shuffled(text, rng):
