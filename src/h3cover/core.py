@@ -17,9 +17,9 @@ sized by ``_BLOCK``, so that no array but the edge array has an entry per rank
 or per edge: the decode, the pair table's scatter, the partition histogram of
 ``analysis``, the text writer (one ``take`` per block from a flat table of
 NUL-padded cells, each block written as it is made) and the ranking of parsed
-rows.  A read checks the text in blocks of lines and keeps no other copy of it;
-numpy parses a named file in chunks.  Rows parsed in rank order are the edge
-array; others give the bitmap, decoded when read.
+rows.  A read checks edge lines in blocks of lines and a hex bitmap in one
+pass; numpy parses a named file in chunks.  Rows parsed in rank order are the
+edge array; others give the bitmap, decoded when read.
 
 Every pair query reads one table, built lazily (``pair_masks``): entry [u][v] is
 the vertex bitmap of the joint neighbourhood of u and v.  Above ``_SMALL_N``
@@ -172,7 +172,7 @@ def _colex_edges(n: int, bits: int) -> list[tuple[int, int, int]]:
 class Hypergraph3:
     """An immutable 3-graph: a vertex count and an edge bitmap."""
 
-    __slots__ = ("n", "bits", "_triples", "_pair_masks", "_codegrees", "_twins", "_later_twins")
+    __slots__ = ("n", "bits", "_triples", "_pair_masks", "_codegrees", "_twins")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
@@ -185,7 +185,6 @@ class Hypergraph3:
         self._pair_masks: Optional[tuple[tuple[int, ...], ...]] = None
         self._codegrees: Optional[np.ndarray] = None  # n x n (n on the diagonal), with the pair table
         self._twins: Optional[dict[int, int]] = None
-        self._later_twins = 0  # each twin class but its least vertex, set with the classes
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[Sequence[int]]) -> "Hypergraph3":
@@ -274,16 +273,17 @@ class Hypergraph3:
         """Each vertex that has a twin, mapped to the bitmap of its twin class (shared: read only).
 
         u and v are twins when the swap (u v) is an automorphism: row v with
-        entries u and v swapped then has row u's popcounts, and its entries
-        differ from row u's in both bits u and v (uvw an edge) or in neither.
+        entries u and v swapped then differs from row u in each entry in both
+        bits u and v (uvw an edge) or in neither.
         Twins form classes (a swap conjugated by another is a third), so only
         a class's least vertex is compared with later vertices, and only with
-        those whose sorted codegrees, kept by the swap, hash alike.
+        those whose sorted codegrees, kept by the swap, hash alike.  Rows are
+        compared from the last entry down: the f1 families' apex is last, and
+        its entry parts most non-twins (on f1e(999), a third of the time from entry 0).
         """
         if self._twins is None:
             rows, n = self.pair_masks(), self.n
-            codeg = self._codegrees.tolist()
-            profile = [hash(tuple(sorted(c))) for c in codeg]
+            profile = [hash(tuple(sorted(c))) for c in self._codegrees.tolist()]
             alike: dict[int, int] = {}
             for v, key in enumerate(profile):
                 alike[key] = alike.get(key, 0) | 1 << v
@@ -292,15 +292,14 @@ class Hypergraph3:
                 u = (unseen & -unseen).bit_length() - 1
                 c = 1 << u
                 for v in _iter_bits(alike[profile[u]] & unseen & ~c):
-                    cv, rv = codeg[v][:], list(rows[v])
-                    cv[u], cv[v], rv[u], rv[v] = cv[v], cv[u], rv[v], rv[u]
-                    if codeg[u] == cv and all(map({0, (1 << u) | (1 << v)}.__contains__,
-                                                  map(int.__xor__, rows[u], rv))):
+                    pair, rv = {0, (1 << u) | (1 << v)}, list(rows[v])
+                    rv[u], rv[v] = rv[v], rv[u]
+                    if all(map(pair.__contains__, map(int.__xor__, reversed(rows[u]), reversed(rv)))):
                         c |= 1 << v
                 unseen &= ~c
                 if c & (c - 1):
                     twins.update(dict.fromkeys(_iter_bits(c), c))
-            self._twins, self._later_twins = twins, sum(c & (c - 1) for c in set(twins.values()))
+            self._twins = twins
         return self._twins
 
     def pair_mask(self, u: int, v: int) -> int:
@@ -438,13 +437,10 @@ def _seconds(text: str) -> float:
 _count.__name__, _seconds.__name__ = "count", "seconds"  # argparse reports "invalid count value"
 
 
-def _text_blocks(text: str, lo: int, hexform: bool) -> Iterator[str]:
-    """text from index lo in blocks of whole lines, each of at least _BLOCK characters but the last; in
-    the hex form a block with no '#' in it ends between two hex digits instead, in a line's run of them"""
+def _text_blocks(text: str, lo: int) -> Iterator[str]:
+    """text from index lo in blocks of whole lines, each of at least _BLOCK characters but the last"""
     while lo < len(text):
-        hi = lo + _BLOCK
-        if not (hexform and text.find("#", lo, hi) < 0 and not text[hi - 1:hi + 1].strip(_HEX)):
-            hi = text.find("\n", hi) + 1 or len(text)
+        hi = text.find("\n", lo + _BLOCK) + 1 or len(text)
         yield text[lo:hi]
         lo = hi
 
@@ -454,7 +450,7 @@ _BLANK = re.compile(r"(?:[^\S\n]*(?:#[^\n]*)?\n)*")
 
 
 def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
-    # the text is read in blocks: no copy of it is made but one block at a time
+    # the edge lines are read in blocks, with no copy of the text but one block at a time; a bitmap in one pass
     start = _BLANK.match(text).end()
     end = len(text) if (end := text.find("\n", start)) < 0 else end
     head = text[start:end].partition("#")[0].lstrip()
@@ -466,26 +462,20 @@ def _read_h3(text: str, path: Optional[str] = None) -> Hypergraph3:
     if len(counts) != (1 if hexform else 2):
         raise ValueError(f"bad header line {head!r}: expected 'n m' or 'n: <count>'")
     n, m = _count(counts[0]), _count(counts[-1])
-    skip, parts, edges = text.count("\n", 0, start) + 1, [], False
-    for block in _text_blocks(text, end + 1, hexform):
+    if hexform:  # a line ends at \n alone (loads_h3 turns \r\n and \r into it); strip() takes non-ASCII spaces
+        digits = "".join(line.partition("#")[0].strip(_SPACE) for line in text[end + 1:].split("\n"))
+        digits = _only(digits, _HEX, "a bitmap line holds only hex digits, with whitespace only around them")
+        return Hypergraph3(n, int(digits or "0", 16))
+    skip, edges = text.count("\n", 0, start) + 1, False
+    for block in _text_blocks(text, end + 1):
         block = re.sub(r"#[^\n]*", "", block) if "#" in block else block
-        if hexform:  # a line ends at \n alone (loads_h3 turns \r\n and \r into it); strip() takes non-ASCII spaces
-            digits = _only("".join(line.strip(_SPACE) for line in block.split("\n")), _HEX,
-                           "a bitmap line holds only hex digits, with whitespace only around them")
-            parts += [(int(digits, 16), len(digits))] if digits else []
-        else:
-            what = "edge lines hold only unsigned decimal vertices"
-            edges |= bool(block) and not _only(block, _DIGITS + _SPACE, what).isspace()
-    if hexform:  # the bitmap is its blocks' digits in order: (value, digits) pairs joined level by level
-        while len(parts) > 1:
-            pairs = zip(parts[::2], parts[1::2])
-            parts = [(a << 4 * lb | b, la + lb) for (a, la), (b, lb) in pairs] + parts[len(parts) & ~1:]
-        return Hypergraph3(n, parts[0][0] if parts else 0)
+        what = "edge lines hold only unsigned decimal vertices"
+        edges |= bool(block) and not _only(block, _DIGITS + _SPACE, what).isspace()
     # loadtxt raises ValueError on a bad token or ragged lines, but warns on a blank body; it reads
     # a named file in chunks, skipping the lines up to the header, and any other source line by line
     t = np.zeros((0, 3), np.int16)
     if edges:  # int16, as the edge array: a larger vertex raises
-        source = path or (line for block in _text_blocks(text, end + 1, False) for line in block.split("\n"))
+        source = path or (line for block in _text_blocks(text, end + 1) for line in block.split("\n"))
         del text  # a named file is parsed with no copy of its text alive
         t = np.loadtxt(source, dtype=np.int16, ndmin=2, skiprows=skip if path else 0, encoding="ascii")
     if t.shape != (m, 3):

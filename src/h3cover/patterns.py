@@ -203,8 +203,8 @@ def _search(
         return None
     rows, twins = host.pair_masks(), host.twin_classes()
     free = ((1 << host.n) - 1) & ~(1 << x)
-    c = twins.get(x, 0)  # the free vertices with a free twin below: the host's, with x's class patched in
-    later = host._later_twins & ~c | (c & free) & ((c & free) - 1)
+    c = twins.get(x, 0) & free  # later: each twin class but its least vertex, x's but x and its least free one
+    later = sum(k & (k - 1) for k in set(twins.values()) if not k >> x & 1) | c & (c - 1)
     for a in anchors:
         plan = _plan(graph, (a,))
         images = [x] + [-1] * (graph.n - 1)

@@ -411,6 +411,43 @@ def test_verify_out_of_range_apex_fails_the_partition_check(tmp_path, capsys):
     assert checks["partition"]["measured"] == "invalid"
 
 
+def _claims_copied(tmp_path, capsys):
+    """f1(12) written with its sidecar, and the claims copied to a path that is not the sidecar's."""
+    out = tmp_path / "f1_12.h3"
+    run(capsys, "construct", "f1", "--n", "12", "-o", str(out))
+    copy = tmp_path / "elsewhere" / "mine.json"
+    copy.parent.mkdir()
+    claims = json.loads((tmp_path / "f1_12.claims.json").read_text())
+    copy.write_text(json.dumps(claims))
+    return out, claims, copy
+
+
+def test_verify_reads_the_claims_path_given(tmp_path, capsys):
+    out, _, copy = _claims_copied(tmp_path, capsys)
+    (tmp_path / "f1_12.claims.json").unlink()
+    code, stdout, err = run(capsys, "verify", "--in", str(out), "--pattern", "K4", "--claims", str(copy))
+    assert code == 0 and json.loads(stdout)["ok"] is True and err == ""
+
+
+def test_verify_fails_a_raised_codegree_claim_at_the_path_given(tmp_path, capsys):
+    out, claims, copy = _claims_copied(tmp_path, capsys)
+    copy.write_text(json.dumps(claims | {"min_codegree": claims["min_codegree"] + 1}))
+    code, stdout, _ = run(capsys, "verify", "--in", str(out), "--pattern", "K4", "--claims", str(copy))
+    checks = {c["name"]: c for c in json.loads(stdout)["checks"]}
+    assert code == 3 and checks.pop("min_codegree") == {"name": "min_codegree", "expected": 7, "measured": 6,
+                                                         "pass": False}
+    assert checks and all(c["pass"] for c in checks.values())
+
+
+def test_verify_with_a_missing_claims_path_exits_1(tmp_path, capsys):
+    # the sidecar at the default path is there, and is not read in place of the one named
+    out, _, _ = _claims_copied(tmp_path, capsys)
+    missing = tmp_path / "elsewhere" / "missing.json"
+    code, stdout, err = run(capsys, "verify", "--in", str(out), "--pattern", "K4", "--claims", str(missing))
+    assert code == 1 and stdout == ""
+    assert err == f"i/o error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 # the invocation classes whose help, usage error or result the full parser tree decides
 USAGE_CASES = [
     [],

@@ -645,8 +645,8 @@ def _walked(g, path):
 
 @pytest.mark.parametrize("block", [1, 5, 200])
 def test_block_walk_matches_one_block_and_oracles(block, tmp_path, monkeypatch):
-    # a block of 1 or 5 ranks splits every graph at each top vertex (and reads its text a line, or
-    # a hex digit, at a time); empty, sparse, dense and complete bitmaps on 0..40 vertices, with the
+    # a block of 1 or 5 ranks splits every graph at each top vertex (and reads its edge lines a line
+    # at a time); empty, sparse, dense and complete bitmaps on 0..40 vertices, with the
     # size bound forced down so that graphs on 3..9 vertices walk blocks too
     monkeypatch.setattr(core, "_SMALL_N", 2)
     rng, path = random.Random(block), tmp_path / "g.h3"
@@ -676,6 +676,31 @@ def test_hex_lines_cut_into_blocks_keep_their_comments(block, monkeypatch):
     bitmap = dumps_h3(g, "hex").split("\n")[1]
     text = f"n: 12 # 0abc\n {bitmap[:30]}\t# ffff 0123\n{bitmap[30:40]}#{bitmap}\n\v{bitmap[40:]} \n# 12\n"
     assert loads_h3(text) == g and loads_h3(text.replace("\n", "\r\n")) == g
+
+
+def test_wrapped_hex_bitmaps_read_as_the_one_line_file(tmp_path):
+    # f1e(40)'s bitmap at 1 and at 64 digits a line, a comment line after each digit line, with \n and
+    # with \r\n line ends; a '_', which int() takes between digits, on the fifth digit line is named
+    g = f1_variant("1", admissible_sample("1", 40, 1), 40)[0]
+    head, bitmap, _ = dumps_h3(g, "hex").split("\n")
+    path = tmp_path / "g.h3"
+    path.write_text(f"{head}\n{bitmap}\n", encoding="ascii")
+    assert loads_h3(f"{head}\n{bitmap}\n") == load_h3(path) == g
+    for width in (1, 64):
+        lines = [bitmap[i:i + width] for i in range(0, len(bitmap), width)]
+        bad = lines[:4] + [lines[4] + "_"] + lines[5:]
+        for eol in ("\n", "\r\n"):
+            for digits, message in ((lines, None), (bad, "a bitmap line holds only hex digits, with whitespace"
+                                                         " only around them, found '_'")):
+                text = eol.join([head, *(f"{line}{eol}# line {i} f0" for i, line in enumerate(digits))]) + eol
+                path.write_bytes(text.encode("ascii"))
+                for read in (lambda: loads_h3(text), lambda: load_h3(path)):
+                    if message is None:
+                        assert read() == g, (width, eol)
+                        continue
+                    with pytest.raises(ValueError) as exc:
+                        read()
+                    assert str(exc.value) == message
 
 
 def test_errors_in_the_last_text_block_keep_their_messages(tmp_path, monkeypatch):
