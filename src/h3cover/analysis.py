@@ -17,21 +17,23 @@ the vertex, re-checked with the covering search of ``patterns``.
 The link configuration of an outside vertex y against an anchored 4-set
 {a, b, c, x} is which of the six pairs of the 4-set form an edge with y.
 ``classify_sy`` reads those six edge bits; ``recover_partition``, which
-needs them for every y at once, builds each of its three buckets as one AND
-of the six pair-table entries or their complements.
+needs them for every y at once, builds the bucket of S1a, S1b and S1c each as
+one AND over the six pair-table entries: an entry as it is if its slot is in
+the set of ``SY_SETS``, its complement if not.  The violation counts of the
+recovered parts are read off the same table, as popcounts of entries masked
+by the vertex bitmap of a part.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
 
-import numpy as np
-
-from .core import Hypergraph3, _iter_bits, _row_blocks
+from .core import Hypergraph3, _iter_bits
 from .constructions import ConstructionClaims, Tripartition
 from .patterns import Pattern, greedy_cover_bound, uncovered_vertices
 
@@ -377,14 +379,14 @@ def recover_partition(g: Hypergraph3, x: int) -> Optional[RecoveredPartition]:
         return None
     a, b, c = tri
     rows = g.pair_masks()
-    # the six slots' pair-table entries, in PAIR_SLOTS order: bit y says the pair makes an edge with y
-    ab, ac, bc, ax, bx, cx = rows[a][b], rows[a][c], rows[b][c], rows[a][x], rows[b][x], rows[c][x]
-    # the bucket of a holds a and every y whose configuration is exactly S1a
-    # (likewise b, c); no slot mask contains a, b, c or x
-    buckets = (
-        1 << a | ab & ac & bx & cx & ~bc & ~ax,
-        1 << b | ab & bc & ax & cx & ~ac & ~bx,
-        1 << c | ac & bc & ax & bx & ~ab & ~cx,
+    # each slot's pair-table entry: bit y says the pair makes an edge with y; no entry holds a, b, c or x
+    at = {"a": a, "b": b, "c": c, "x": x}
+    slots = {s: rows[at[s[0]]][at[s[1]]] for s in PAIR_SLOTS}
+    # the bucket of a holds a and every y whose configuration is exactly S1a (likewise b, c): the AND of
+    # the entries of the set's slots and the complements of the others
+    buckets = tuple(
+        1 << v | reduce(int.__and__, (m if s in SY_SETS[label] else ~m for s, m in slots.items()))
+        for v, label in zip(tri, ("S1a", "S1b", "S1c"))
     )
     parts: list[list[int]] = [[], [], []]
     for y in range(g.n):
@@ -406,30 +408,21 @@ def recover_partition(g: Hypergraph3, x: int) -> Optional[RecoveredPartition]:
 
 
 def _measure_partition(g: Hypergraph3, x: int, parts) -> PartitionDiagnostics:
-    # label the apex 4 and part i as i + 1, weigh label l as 4^l, and histogram
-    # the edges by their weights summed a column at a time (three times faster
-    # than along each row): each label occurs at most three times in an edge, so
-    # the sum's base-4 digits count the labels; the largest, 768, fits int16
-    weight = np.ones(g.n, dtype=np.int16)
-    for i, part in enumerate(parts):
-        weight[list(part)] = 4 ** (i + 1)
-    weight[x] = 4 ** 4
-    hist = np.zeros(3 * 4 ** 4 + 1, dtype=np.int64)
-    for t in _row_blocks(g.edge_array()):
-        hist += np.bincount(sum(map(weight.take, t.T)), minlength=len(hist))
-    hist = hist.tolist()
+    # each count is a sum of popcounts of pair-table entries masked by the vertex bitmap of a part
+    rows = g.pair_masks()
+    masks = [sum(1 << v for v in part) for part in parts]
 
-    def edges_of(*labels: int) -> int:
-        return hist[sum(4 ** label for label in labels)]
+    def apex(i: int, j: int) -> int:  # the triples x u v, u in part i and v in part j: twice each if i == j
+        return sum((rows[x][u] & masks[j]).bit_count() for u in parts[i])
+
+    def two_part(i: int, j: int) -> int:  # the triples u v w, u < v in part i and w in part j
+        return sum((rows[u][v] & masks[j]).bit_count() for u, v in combinations(parts[i], 2))
 
     sizes = tuple(len(p) for p in parts)
-    within = sum(edges_of(i + 1, i + 1, 4) for i in range(3))
-    missing_cross = sum(sizes[i] * sizes[j] - edges_of(i + 1, j + 1, 4) for i, j in combinations(range(3), 2))
-    tripartite = edges_of(1, 2, 3)
-    missing_two = sum(
-        comb(sizes[i], 2) * sizes[j] - edges_of(i + 1, i + 1, j + 1)
-        for i in range(3) for j in range(3) if i != j
-    )
+    within = sum(apex(i, i) for i in range(3)) // 2
+    missing_cross = sum(sizes[i] * sizes[j] - apex(i, j) for i, j in combinations(range(3), 2))
+    tripartite = sum((rows[u][v] & masks[2]).bit_count() for u in parts[0] for v in parts[1])
+    missing_two = sum(comb(sizes[i], 2) * sizes[j] - two_part(i, j) for i in range(3) for j in range(3) if i != j)
     third = Fraction(g.n - 1, 3)
     dev = max(abs(Fraction(s) - third) for s in sizes) if sizes else Fraction(0)
     return PartitionDiagnostics(

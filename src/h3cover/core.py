@@ -14,12 +14,12 @@ construction too, unpacks and decodes its bitmap a block at a time.
 
 Every whole-graph layer walks the edges in blocks of consecutive top vertices,
 sized by ``_BLOCK``, so that no array but the edge array has an entry per rank
-or per edge: the decode, the pair table's scatter, the partition histogram of
-``analysis``, the text writer (one ``take`` per block from a flat table of
-NUL-padded cells, each block written as it is made) and the ranking of parsed
-rows.  A read checks edge lines in blocks of lines and a hex bitmap in one
-pass; numpy parses a named file in chunks.  Rows parsed in rank order are the
-edge array; others give the bitmap, decoded when read.
+or per edge: the decode, the pair table's scatter, the text writer (one
+``take`` per block from a flat table of NUL-padded cells, each block written as
+it is made) and the ranking of parsed rows.  A read checks edge lines in blocks
+of lines and reads a hex bitmap in one pass, checking its digits a ``_BLOCK``
+slice at a time; numpy parses a named file in chunks.  Rows parsed in rank
+order are the edge array; others give the bitmap, decoded when read.
 
 Every pair query reads one table, built lazily (``pair_masks``): entry [u][v] is
 the vertex bitmap of the joint neighbourhood of u and v.  Above ``_SMALL_N``
@@ -416,9 +416,11 @@ _HEX = _DIGITS + "abcdefABCDEF"
 
 def _only(text: str, chars: str, what: str) -> str:
     """text, if it holds no character outside the ASCII chars: int() also takes signs, '_',
-    a 0x prefix and non-ASCII digits, loadtxt signs, and some numpy versions cast 1.9 to int"""
-    if bad := text.encode().translate(None, chars.encode()):
-        raise ValueError(f"{what}, found {bad.decode()[0]!r}")
+    a 0x prefix and non-ASCII digits, loadtxt signs, and some numpy versions cast 1.9 to int;
+    checked a _BLOCK slice at a time, so that no encoded copy of the whole text is made"""
+    for lo in range(0, len(text), _BLOCK):
+        if bad := text[lo:lo + _BLOCK].encode().translate(None, chars.encode()):
+            raise ValueError(f"{what}, found {bad.decode()[0]!r}")
     return text
 
 

@@ -464,6 +464,50 @@ def test_partition_counts_match_oracle(case):
     assert got == oracles.partition_violations(g, x, parts)
 
 
+@pytest.mark.parametrize("n", [99, 150])
+def test_partition_counts_match_oracle_on_f1e(n):
+    # the planted parts of f1e(n), where the pair set alone is counted, and a seeded shuffle of the
+    # same vertices into parts of the same sizes, where every count is large
+    pairs = admissible_sample(str(n % 3), n, 1)
+    g, claims = f1_variant(str(n % 3), pairs, n)
+    planted, x = claims.partition.parts, claims.partition.apex
+    rest = [v for part in planted for v in part]
+    random.Random(n).shuffle(rest)
+    cuts = [0, len(planted[0]), len(planted[0]) + len(planted[1]), len(rest)]
+    shuffled = tuple(tuple(sorted(rest[lo:hi])) for lo, hi in zip(cuts, cuts[1:]))
+    for parts in (planted, shuffled):
+        d = _measure_partition(g, x, parts)
+        got = (d.within_part_link, d.missing_cross_link, d.tripartite_edges, d.missing_two_part)
+        assert got == oracles.partition_violations(g, x, parts)
+        if parts is planted:
+            assert (got[0], got[1], got[3]) == (0, len(pairs.pairs), 0)
+        else:
+            assert min(got) > 0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bucket_sizes_count_the_s1_configurations(seed):
+    # hosts whose link of x is complete tripartite, so that the partition is always found, under a
+    # random relabelling, with every other triple present at random and abc dropped: bucket i holds
+    # the seed's vertex i and each outside vertex that classify_sy labels S1a, S1b or S1c
+    rnd = random.Random(seed)
+    n = rnd.randrange(10, 19)
+    x, *rest = rnd.sample(range(n), n)
+    cuts = sorted(rnd.sample(range(1, n - 1), 2))
+    label = {v: i for i, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, n - 1])) for v in rest[lo:hi]}
+    density = rnd.uniform(0.25, 0.75)
+    g = Hypergraph3.from_triples(n, [
+        t for t in combinations(range(n), 3)
+        if (len({label[v] for v in t if v != x}) == 2 if x in t else rnd.random() < density)
+    ])
+    a, b, c = g.link_graph(x).first_triangle()
+    g = Hypergraph3(n, g.bits & ~(1 << triple_rank(a, b, c)))
+    rec = recover_partition(g, x)
+    labels = [classify_sy(g, (a, b, c, x), y).label for y in range(n) if y not in (a, b, c, x)]
+    assert rec.seed_triangle == (a, b, c)
+    assert rec.bucket_sizes == tuple(1 + labels.count(s) for s in ("S1a", "S1b", "S1c"))
+
+
 def _f1_slots(n):
     """f1(n) and the six pairs of the apex 4-set {a, b, c, x} that recovery anchors on."""
     g, claims = f1(n)

@@ -626,8 +626,9 @@ def test_both_builds_match_oracles_across_the_size_bound(n, build, monkeypatch):
 
 
 def _walked(g, path):
-    """What each block walk makes of a fresh copy of g: rows, pair table, codegrees, partition
-    counts, text written both ways, and the rows and bitmaps read back from both forms."""
+    """What each block walk makes of a fresh copy of g: rows, pair table, codegrees, text written
+    both ways, and the rows and bitmaps read back from both forms; and the partition counts, read
+    off the block-built pair table."""
     from h3cover.analysis import _measure_partition
 
     h = Hypergraph3(g.n, g.bits)
@@ -951,3 +952,35 @@ def test_load_peak_memory_is_bounded_by_the_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert g.num_edges == 121_016 and peak < 2.5 * path.stat().st_size
+
+
+def test_hex_load_peak_memory_is_bounded_by_the_file_size(tmp_path):
+    # the text, its digits joined into one string and a _BLOCK slice of them encoded: 3.0 times the
+    # file on f1e(300); it was 4.0 times when the digits check encoded and translated them whole
+    path = tmp_path / "f1e.h3"
+    write_h3(f1_variant("0", admissible_sample("0", 300, 1), 300)[0], path, "hex")
+    load_h3(path)  # first-use imports and caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = load_h3(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 3_459_326 and peak < 3.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({core._BLOCK: "_"}, "found '_'"),  # the first character of the second slice
+    ({core._BLOCK - 1: "g", core._BLOCK: "_"}, "found 'g'"),  # the last of the first
+    ({3 * core._BLOCK + 5: "٥", 4 * core._BLOCK: "_"}, "found '٥'"),  # a non-ASCII digit, then a '_'
+])
+def test_a_bad_bitmap_digit_in_a_later_slice_is_named(bad, message):
+    # the digits are checked a _BLOCK slice at a time; the first bad one is named, as a check of the
+    # whole string would name it
+    digits = ["0"] * (5 * core._BLOCK)
+    for i, ch in bad.items():
+        digits[i] = ch
+    with pytest.raises(ValueError) as exc:
+        loads_h3(f"n: 100\n{''.join(digits)}\n")
+    assert str(exc.value) == f"a bitmap line holds only hex digits, with whitespace only around them, {message}"
